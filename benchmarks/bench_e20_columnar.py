@@ -10,9 +10,7 @@ observable behavior (the differential suite in
   instance objects;
 * **batched assert/retract ≥ 1.5×** — ``insert_many``/``retract_many``
   become column appends and tombstones instead of per-tuple, per-field
-  dict maintenance;
-* **snapshot shipping** — a shard pickles compactly from its column form
-  (``ship_shard``/``load_shard``); timed for the report, no floor.
+  dict maintenance.
 
 Timing uses best-of-N interleaved between the two backends (the E17
 idiom) so load drift cannot land on one side of the comparison.
@@ -26,7 +24,6 @@ from _helpers import attach, once
 from repro.core.dataspace import Dataspace
 from repro.core.expressions import Var
 from repro.core.patterns import pattern
-from repro.runtime.parallel import load_shard, ship_shard
 
 SCAN_ROWS = 20_000
 BATCH_ROWS = 5_000
@@ -147,29 +144,4 @@ def test_e20_shape_batch_mutation_1_5x(benchmark):
         speedup=round(ratio, 2),
         rows=BATCH_ROWS,
         rounds=BATCH_ROUNDS,
-    )
-
-
-def test_e20_snapshot_shipping(benchmark):
-    def check():
-        sizes, times = {}, {}
-        for store in ("object", "columnar"):
-            ds = Dataspace(shards=4, store=store)
-            ds.insert_many(_SCAN_DATA)
-            start = time.perf_counter()
-            blobs = [ship_shard(s) for s in ds.stores]
-            times[store] = time.perf_counter() - start
-            sizes[store] = sum(len(b) for b in blobs)
-            clones = [load_shard(b) for b in blobs]
-            assert sum(len(c) for c in clones) == len(ds)
-        return sizes, times
-
-    sizes, times = once(benchmark, check)
-    attach(
-        benchmark,
-        object_bytes=sizes["object"],
-        columnar_bytes=sizes["columnar"],
-        object_ms=round(times["object"] * 1e3, 2),
-        columnar_ms=round(times["columnar"] * 1e3, 2),
-        rows=SCAN_ROWS,
     )

@@ -757,75 +757,6 @@ def e17() -> None:
     )
 
 
-def e18() -> None:
-    import os
-
-    from repro.core.actions import assert_tuple, let
-    from repro.core.expressions import Var, lift
-    from repro.core.process import ProcessDefinition
-    from repro.core.transactions import delayed
-    from repro.runtime.engine import Engine
-    from repro.workloads.compute import spin
-
-    a = Var("a")
-    communities, depth, units = 8, 3, 40_000
-    burn = lift(spin, name="spin")
-    worker = ProcessDefinition(
-        "W",
-        params=("k",),
-        body=[
-            delayed(exists(a).match(P[Var("k"), a].retract())).then(
-                let(Var("n"), burn(a, units)),
-                assert_tuple("done", Var("k"), Var("n")),
-            )
-            for __ in range(depth)
-        ],
-    )
-
-    def run(workers):
-        engine = Engine(
-            definitions=[worker], seed=7, commit="group", shards=8,
-            workers=workers,
-        )
-        engine.assert_tuples(
-            [(k, d) for k in range(communities) for d in range(depth)]
-        )
-        for k in range(communities):
-            engine.start("W", (k,))
-        result = engine.run()
-        assert result.completed
-        return engine, result
-
-    baseline = None
-    rows = []
-    for workers in (None, 1, "thread:4", "process:4"):
-        run(workers)  # warm: pool fork, plan caches
-        (engine, result), t_best = min(
-            (timed(run, workers) for __ in range(3)), key=lambda pair: pair[1]
-        )
-        state = engine.dataspace.multiset()
-        if baseline is None:
-            baseline = (state, t_best)
-        assert state == baseline[0], "parallel run diverged from serial"
-        rows.append(
-            [
-                "serial" if workers is None else workers,
-                f"{t_best*1000:.1f}",
-                f"{baseline[1]/t_best:.2f}x",
-                result.parallel_rounds,
-                result.parallel_groups,
-                result.parallel_fallbacks,
-            ]
-        )
-    table(
-        "E18 — parallel group-round apply: compute-heavy disjoint communities "
-        f"({communities} x {depth}, spin={units}, {os.cpu_count()} CPU(s))",
-        ["workers", "best-of-3 ms", "speedup", "parallel rounds",
-         "groups dispatched", "fallbacks"],
-        rows,
-    )
-
-
 def e19() -> None:
     import tempfile
 
@@ -873,68 +804,6 @@ def e19() -> None:
          "frames replayed", "load ms (best of 3)"],
         rows,
     )
-
-    from repro.core.actions import assert_tuple
-    from repro.core.expressions import Var
-    from repro.core.process import ProcessDefinition
-    from repro.core.transactions import delayed
-    from repro.runtime.engine import Engine
-
-    a = Var("a")
-    mover = ProcessDefinition(
-        "Mover",
-        params=("k",),
-        body=[
-            delayed(exists(a).match(P[Var("k"), a].retract())).then(
-                assert_tuple("done", Var("k"), a)
-            )
-            for __ in range(4)
-        ],
-    )
-
-    def run(faults=None, workers=None, worker_timeout=None):
-        engine = Engine(
-            definitions=[mover], seed=7, commit="group", shards=4,
-            workers=workers, faults=faults, worker_timeout=worker_timeout,
-        )
-        engine.assert_tuples([(k, d) for k in range(6) for d in range(4)])
-        for k in range(6):
-            engine.start("Mover", (k,))
-        result = engine.run()
-        assert result.completed
-        return engine, result
-
-    base_engine, __ = run()
-    base_state = base_engine.dataspace.multiset()
-    rows = []
-    for label, clause, timeout in (
-        ("clean pool", None, None),
-        ("garbage-plan at=1", "seed=5; worker-exec:garbage-plan:at=1", None),
-        ("worker-crash at=1", "seed=5; worker-exec:worker-crash:at=1", None),
-        ("worker-hang at=1", "seed=5; worker-exec:worker-hang:at=1", 0.05),
-    ):
-        engine, result = run(faults=clause, workers="thread:3", worker_timeout=timeout)
-        identical = engine.dataspace.multiset() == base_state
-        assert identical, f"{label}: worker faults changed observable state"
-        rows.append(
-            [
-                label,
-                result.worker_timeouts,
-                result.worker_retries,
-                result.worker_quarantined,
-                result.worker_plan_rejects,
-                result.parallel_fallbacks,
-                "yes" if identical else "NO",
-            ]
-        )
-    table(
-        "E19 — supervised worker pool: seeded faults absorbed and counted "
-        "(6 communities x 4, thread:3)",
-        ["fault", "timeouts", "retries", "quarantined", "plan rejects",
-         "serial fallbacks", "= serial state"],
-        rows,
-    )
-
 
 def e20() -> None:
     from repro.core.expressions import Var
@@ -1004,117 +873,6 @@ def e20() -> None:
     )
 
 
-def e21() -> None:
-    import os
-
-    from repro.core.actions import assert_tuple
-    from repro.core.expressions import Var, lift
-    from repro.core.process import ProcessDefinition
-    from repro.core.query import forall
-    from repro.core.transactions import delayed
-    from repro.runtime.engine import Engine
-    from repro.workloads.compute import spin
-
-    a, b = Var("a"), Var("b")
-    communities, pop, units = 8, 4, 20_000
-    burn = lift(spin, name="spin")
-    worker = ProcessDefinition(
-        "W",
-        params=("k", "k2"),
-        body=[
-            delayed(
-                forall(a).match(P[Var("k"), a].retract())
-                .such_that(burn(a, units) >= 0)
-            ).then(assert_tuple(Var("k2"), a)),
-            delayed(
-                forall(b).match(P[Var("k2"), b].retract())
-                .such_that(burn(b, units) >= 0)
-            ).then(assert_tuple("done", Var("k"), b)),
-        ],
-    )
-
-    def run(workers, admit, obs=None):
-        engine = Engine(
-            definitions=[worker], seed=7, commit="group", shards=8,
-            workers=workers, admit=admit, obs=obs,
-        )
-        engine.assert_tuples(
-            [(k, d) for k in range(communities) for d in range(pop)]
-        )
-        for k in range(communities):
-            engine.start("W", (k, k + communities))
-        result = engine.run()
-        assert result.completed
-        return engine, result
-
-    baseline = None
-    rows = []
-    for workers, admit in (
-        (None, "serial"), ("thread:4", "parallel"), ("process:4", "parallel"),
-    ):
-        run(workers, admit)  # warm: pool fork, plan caches
-        (engine, result), t_best = min(
-            (timed(run, workers, admit) for __ in range(3)),
-            key=lambda pair: pair[1],
-        )
-        state = engine.dataspace.multiset()
-        if baseline is None:
-            baseline = (state, t_best)
-        assert state == baseline[0], "parallel admission diverged from serial"
-        rows.append(
-            [
-                "serial" if workers is None else workers,
-                f"{t_best*1000:.1f}",
-                f"{baseline[1]/t_best:.2f}x",
-                result.admit_rounds,
-                result.admit_candidates,
-                result.admit_fallbacks,
-                f"{result.snapshot_ship_bytes/1024:.1f}",
-                f"{result.snapshot_refreshes_delta}/{result.snapshot_refreshes_full}",
-            ]
-        )
-    table(
-        "E21 — parallel admission: match evaluation on workers over shard "
-        f"snapshots ({communities} communities x {pop}, spin={units}, "
-        f"{os.cpu_count()} CPU(s))",
-        ["workers", "best-of-3 ms", "speedup", "admit rounds",
-         "candidates on workers", "serial fallbacks", "shipped KiB",
-         "refreshes delta/full"],
-        rows,
-    )
-
-    # obs counter cross-check: the RunResult numbers above are mirrored
-    # one-to-one by the metrics registry.
-    __, result = run("thread:4", "parallel", obs=True)
-    m = result.metrics
-    refreshes = m["sdl_snapshot_refresh_total"]["data"]
-    admit_hist = m["sdl_parallel_admit_seconds"]["data"]
-    versions = sorted(
-        name for name in m if name.startswith("sdl_snapshot_worker_version_")
-    )
-    assert m["sdl_snapshot_ship_bytes_total"]["data"] == result.snapshot_ship_bytes
-    table(
-        "E21 — snapshot residency counters (thread:4, obs on)",
-        ["metric", "value"],
-        [
-            ["sdl_snapshot_ship_bytes_total", result.snapshot_ship_bytes],
-            [
-                "sdl_snapshot_refresh_total",
-                ", ".join(f"{k}={v}" for k, v in sorted(refreshes.items())),
-            ],
-            ["sdl_parallel_admit_seconds count", admit_hist["count"]],
-            ["worker snapshot version gauges", len(versions)],
-            [
-                "sdl_parallel_admit_fallbacks_total",
-                sum(
-                    m.get("sdl_parallel_admit_fallbacks_total", {})
-                    .get("data", {}).values()
-                ),
-            ],
-        ],
-    )
-
-
 def main() -> None:
     print("# Experiment report (regenerated)")
     e1_e2()
@@ -1132,10 +890,8 @@ def main() -> None:
     e15()
     e16()
     e17()
-    e18()
     e19()
     e20()
-    e21()
 
 
 if __name__ == "__main__":

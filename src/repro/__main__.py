@@ -132,10 +132,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         plan=args.plan,
         shards=args.shards,
         store=args.store,
-        workers=args.workers,
         wal_dir=args.wal_dir,
-        worker_timeout=args.worker_timeout,
-        admit=args.admit,
     )
     if args.data:
         engine.assert_tuples(_load_tuples(args.data))
@@ -162,17 +159,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         summary += (
             f", wal {result.wal_frames} frames / "
             f"{result.wal_segments} checkpoint segments"
-        )
-    if result.admit_tasks or result.admit_fallbacks:
-        summary += (
-            f", admit {result.admit_candidates} on workers / "
-            f"{result.admit_fallbacks} serial fallbacks"
-        )
-    if result.worker_timeouts or result.worker_retries or result.worker_quarantined:
-        summary += (
-            f", workers {result.worker_timeouts} timeouts / "
-            f"{result.worker_retries} retries / "
-            f"{result.worker_quarantined} quarantined"
         )
     print(summary)
     if result.reason == "deadlock":
@@ -234,16 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-shard storage backend: per-tuple objects or "
                           "struct-of-arrays columns (default: SDL_STORE or "
                           "object)")
-    run.add_argument("--workers", default=None, metavar="SPEC",
-                     help="parallel group-round apply: an integer N, "
-                          "'process:N', or 'thread:N' (default: SDL_WORKERS "
-                          "or serial; needs --commit group and --shards N)")
-    run.add_argument("--admit", choices=["serial", "parallel"], default=None,
-                     help="group-round admission evaluation: serial on the "
-                          "main process, or match evaluation on the worker "
-                          "pool over cached shard snapshots (default: "
-                          "SDL_ADMIT or serial; needs --commit group, "
-                          "--workers N, and --shards N)")
     run.add_argument("--faults", default=None, metavar="PLAN",
                      help="fault-injection plan, e.g. "
                           "'seed=7; pre-commit:crash:name=W:at=2' "
@@ -252,11 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="persist checkpoints and the WAL as checksummed "
                           "segment files in DIR (default: SDL_WAL_DIR or "
                           "in-memory only)")
-    run.add_argument("--worker-timeout", type=float, default=None,
-                     metavar="SECONDS",
-                     help="per-batch worker-pool join deadline; a miss "
-                          "quarantines the group to serial apply (default: "
-                          "SDL_WORKER_TIMEOUT or no deadline)")
     run.add_argument("--metrics-out", default=None, metavar="PATH",
                      help="enable observability and write run metrics here "
                           "(Prometheus text, or JSON if PATH ends in .json)")

@@ -180,12 +180,6 @@ class Pattern:
         #: are immutable, so the compilation never goes stale).
         self._compiled: Any = None
 
-    def __reduce__(self):
-        # Rebuild from the elements alone: the compiled-kernel memo may
-        # close over live planner state and must not cross process
-        # boundaries (parallel apply ships patterns to worker processes).
-        return (Pattern, (self.elements,))
-
     @property
     def arity(self) -> int:
         return len(self.elements)

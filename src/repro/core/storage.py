@@ -101,9 +101,9 @@ class BaseStore:
     which is what lets the facade k-way-merge shards back into the exact
     iteration order of a single store.
 
-    Both backends share the journal machinery and the pickle protocol
-    here; everything content-addressable (`admit`/`remove`, bucket sizes,
-    candidate enumeration) is backend-specific.
+    Both backends share the journal machinery here; everything
+    content-addressable (`admit`/`remove`, bucket sizes, candidate
+    enumeration) is backend-specific.
     """
 
     __slots__ = ("shard", "indexed", "journal", "evicted_version")
@@ -127,59 +127,14 @@ class BaseStore:
     def record(self, change: Any) -> None:
         """File a change event, tracking the version of anything evicted.
 
-        All journal writes go through here — including the pickle restore
-        path — so the eviction watermark can never miss a drop:
+        All journal writes go through here, so the eviction watermark can
+        never miss a drop:
         ``deque.append`` at ``maxlen`` silently discards the oldest entry.
         """
         journal = self.journal
         if len(journal) == JOURNAL_DEPTH:
             self.evicted_version = journal[0].version
         journal.append(change)
-
-    def changes_since(self, floor: int) -> list | None:
-        """The journal suffix of changes with ``version > floor``, oldest
-        first — the per-shard delta a snapshot taken at *floor* needs to
-        catch up (snapshot shipping, ``admit="parallel"``).  ``None`` when
-        the journal has evicted past *floor*: the suffix would be partial,
-        so the caller must re-ship the full shard instead.
-        """
-        if self.evicted_version > floor:
-            return None
-        out: list = []
-        for change in reversed(self.journal):
-            if change.version <= floor:
-                break
-            out.append(change)
-        out.reverse()
-        return out
-
-    # -- pickling ------------------------------------------------------
-    def __getstate__(self):
-        # Shards cross process boundaries (parallel apply, snapshot
-        # shipping): ship the instances and journal, rebuild the derived
-        # layout on the far side — the instance list is in ascending-serial
-        # order, so a round-tripped store is indistinguishable from the
-        # original, whatever the backend.
-        return (
-            self.shard,
-            self.indexed,
-            list(self.iter_serial()),
-            list(self.journal),
-            self.evicted_version,
-        )
-
-    def __setstate__(self, state) -> None:
-        shard, indexed, instances, journal, evicted_version = state
-        self.__init__(shard, indexed)
-        self.admit_many(instances)
-        # Restore the journal through record(), not a raw extend: record()
-        # is the single write path that maintains the eviction watermark,
-        # so further appends after the round trip can never under-report
-        # an eviction (the pickled watermark is re-imposed last — it may
-        # exceed anything record() derived from the restored entries).
-        for change in journal:
-            self.record(change)
-        self.evicted_version = evicted_version
 
     # -- interface (backend-specific) ----------------------------------
     def __len__(self) -> int:

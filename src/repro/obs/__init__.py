@@ -59,8 +59,6 @@ SITE_HISTOGRAMS = {
     "wakeup": "sdl_wakeup_seconds",
     "group-admit": "sdl_group_admit_seconds",
     "group-apply": "sdl_group_apply_seconds",
-    "parallel-apply": "sdl_parallel_apply_seconds",
-    "parallel-admit": "sdl_parallel_admit_seconds",
     "group-validate": "sdl_group_validate_seconds",
     "consensus": "sdl_consensus_seconds",
     "checkpoint": "sdl_checkpoint_seconds",
@@ -76,8 +74,6 @@ _SITE_HELP = {
     "wakeup": "WakeupIndex.affected: wake candidate selection + verification",
     "group-admit": "group round phase B: snapshot evaluation + conflict admission",
     "group-apply": "group round phase C: applying the admitted batch",
-    "parallel-apply": "worker evaluation of one shard-disjoint admitted group",
-    "parallel-admit": "worker match evaluation of one shard's admission candidates",
     "group-validate": "serial-equivalence replay of one admitted batch",
     "consensus": "consensus readiness check + firing",
     "checkpoint": "RecoveryLog checkpoint capture",

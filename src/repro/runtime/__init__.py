@@ -13,9 +13,9 @@ supervision with capped exponential backoff (:mod:`repro.runtime.supervision`),
 checkpoint/replay recovery of the dataspace
 (:mod:`repro.runtime.recovery`), and — below process memory — a durable
 log of checksummed segment files (:class:`~repro.runtime.recovery.DurableLog`)
-that survives real crashes, plus supervised worker pools with deadlines,
-capped-backoff retry, and quarantine-to-serial degradation
-(:mod:`repro.runtime.parallel`).
+that survives real crashes.  Group-commit rounds admit and apply on the
+engine's own thread: commuting transactions show their parallelism as
+round counts, not as OS-level concurrency.
 """
 
 from repro.runtime.events import (

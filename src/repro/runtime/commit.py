@@ -55,7 +55,6 @@ __all__ = [
     "UNKNOWN",
     "WriteRecord",
     "Footprint",
-    "read_side",
     "footprint_for",
     "conflicts",
     "first_conflict",
@@ -171,7 +170,6 @@ def footprint_for(
     process: "ProcessInstance",
     scope: dict[str, Any],
     partitioner=None,
-    reads: "tuple[bool, tuple[AtomWatcher, ...]] | None" = None,
 ) -> Footprint:
     """Record the footprint of *txn* evaluated (as *result*) for *process*.
 
@@ -184,14 +182,8 @@ def footprint_for(
     ``None``) additionally labels the footprint with its shard-sets for
     the O(1) batch-disjointness fast path; it never changes which
     conflicts :func:`conflicts` reports.
-
-    *reads* is an optional precomputed :func:`read_side` result: read
-    derivation depends only on the transaction, view, and scope — all
-    stable across a round — so the parallel-admission prepass extracts
-    it once per dispatched candidate and the admission walk reuses it
-    here instead of re-deriving the subscription.
     """
-    reads_all, watchers = read_side(txn, process, scope) if reads is None else reads
+    reads_all, watchers = _read_side(txn, process, scope)
     if result is None or not result.success:
         if partitioner is None or partitioner.shard_count <= 1:
             return Footprint(process.pid, reads_all, watchers, frozenset(), ())
@@ -257,16 +249,9 @@ def _write_shards(
     return frozenset(shards)
 
 
-def read_side(
+def _read_side(
     txn: Transaction, process: "ProcessInstance", scope: dict[str, Any]
 ) -> tuple[bool, tuple[AtomWatcher, ...]]:
-    """Extract *txn*'s read side: ``(reads_all, watchers)``.
-
-    Pure in the transaction/view/scope — no dataspace, RNG, or counter
-    access — which is what lets the parallel-admission prepass hoist it
-    out of the admission walk (and would let a worker compute it from a
-    shipped transaction alone).
-    """
     sub = derive_subscription([txn], process.view, scope, "keys")
     if sub.wake_any:
         return True, ()

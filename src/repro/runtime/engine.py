@@ -39,7 +39,6 @@ from repro.runtime.events import CheckpointTaken, ProcessCreated, ProcessRestart
 from repro.runtime.executor import Executor
 from repro.runtime.faults import FaultInjector, FaultPlan, resolve_plan
 from repro.runtime.interpreter import interpret
-from repro.runtime.parallel import SnapshotShipper, WorkerPool, resolve_workers
 from repro.runtime.recovery import Checkpoint, DurableLog, RecoveryLog
 from repro.runtime.scheduler import Scheduler, Task, TaskKind, TaskState
 from repro.runtime.supervision import RestartPolicy, Supervisor
@@ -82,37 +81,6 @@ class RunResult:
     batch_commits: int = 0
     conflicts: int = 0
     max_batch: int = 0
-    # Parallel-apply counters (populated under ``workers=N`` with a
-    # sharded layout): rounds that dispatched at least one group to the
-    # worker pool, groups and candidates evaluated on workers, and
-    # groups that fell back to serial apply.
-    parallel_rounds: int = 0
-    parallel_groups: int = 0
-    parallel_candidates: int = 0
-    parallel_fallbacks: int = 0
-    # Parallel-admission counters (populated under ``admit="parallel"``
-    # with a pool and a sharded layout): rounds that shipped at least one
-    # admission task, tasks and candidates whose match verdicts came from
-    # workers, and candidates that fell back to serial evaluation.
-    admit_rounds: int = 0
-    admit_tasks: int = 0
-    admit_candidates: int = 0
-    admit_fallbacks: int = 0
-    # Snapshot-shipping counters (the admission workers' cache): total
-    # blob+delta bytes handed to the pool, and worker-reported refreshes
-    # by kind (journal delta suffix vs full blob re-ship).
-    snapshot_ship_bytes: int = 0
-    snapshot_refreshes_delta: int = 0
-    snapshot_refreshes_full: int = 0
-    # Worker-supervision counters (populated under ``workers=N``):
-    # deadline misses, capped-backoff retries, pool respawns after a
-    # break, groups quarantined to serial, and worker plans rejected by
-    # footprint validation before replay.
-    worker_timeouts: int = 0
-    worker_retries: int = 0
-    worker_respawns: int = 0
-    worker_quarantined: int = 0
-    worker_plan_rejects: int = 0
     # Crash-stop failure counters (populated under fault injection).
     crashes: int = 0
     restarts: int = 0
@@ -201,10 +169,7 @@ class Engine:
         plan: "str | bool | None" = None,
         shards: "str | int | None" = None,
         store: "str | None" = None,
-        workers: "str | int | None" = None,
         wal_dir: "str | None" = None,
-        worker_timeout: "float | None" = None,
-        admit: "str | None" = None,
     ) -> None:
         if policy not in ("random", "fifo"):
             raise EngineError(f"unknown scheduling policy {policy!r}")
@@ -262,52 +227,6 @@ class Engine:
                 self.dataspace = Dataspace(shards=shards, store=store)
             except ValueError as exc:
                 raise EngineError(str(exc)) from None
-        # Parallel group-round apply (``repro.runtime.parallel``): a pool
-        # of workers evaluating shard-disjoint admitted groups off the
-        # main process.  ``workers=N`` / ``"process:N"`` / ``"thread:N"``
-        # (env SDL_WORKERS supplies a suite-wide default); ``None``/1 is
-        # serial apply.  Dispatch additionally requires a sharded layout
-        # and ``commit="group"`` — without them the pool simply never
-        # fires, keeping the knobs orthogonal.
-        if workers is None:
-            workers = os.environ.get("SDL_WORKERS") or None
-        try:
-            worker_spec = resolve_workers(workers)
-        except ValueError as exc:
-            raise EngineError(str(exc)) from None
-        # Per-batch join deadline for the worker pool, in (real) seconds:
-        # a group that misses it is quarantined straight to serial.  Env
-        # SDL_WORKER_TIMEOUT supplies a suite-wide default; None waits
-        # forever (the pre-supervision behavior).
-        if worker_timeout is None:
-            raw = os.environ.get("SDL_WORKER_TIMEOUT")
-            if raw:
-                try:
-                    worker_timeout = float(raw)
-                except ValueError:
-                    raise EngineError(
-                        f"bad SDL_WORKER_TIMEOUT {raw!r} (expected seconds)"
-                    ) from None
-        if worker_timeout is not None and worker_timeout <= 0:
-            raise EngineError(f"worker_timeout must be > 0, got {worker_timeout}")
-        self.worker_timeout = worker_timeout
-        self.pool: WorkerPool | None = (
-            WorkerPool(worker_spec.mode, worker_spec.count, timeout=worker_timeout)
-            if worker_spec is not None
-            else None
-        )
-        # Parallel admission (the Phase B analogue of parallel apply):
-        # ``admit="parallel"`` ships match evaluation for group-round
-        # candidates to the pool over cached per-shard snapshots, while the
-        # main process keeps the sequential arbitration-order walk — runs
-        # stay bit-identical to serial per seed.  Requires the pool, a
-        # sharded layout, and the planner; without them the knob is inert.
-        # Env SDL_ADMIT supplies a suite-wide default.
-        if admit is None:
-            admit = os.environ.get("SDL_ADMIT") or "serial"
-        if admit not in ("serial", "parallel"):
-            raise EngineError(f"unknown admit mode {admit!r}")
-        self.admit = admit
         self.society = ProcessSociety(definitions)
         self.rng = random.Random(seed)
         self.trace = trace if trace is not None else Trace()
@@ -386,18 +305,6 @@ class Engine:
                 on_checkpoint=self._emit_checkpoint,
                 obs=self.obs,
             )
-        if self.pool is not None:
-            # The pool needs the injector (worker-exec faults) and the
-            # metrics hook, both resolved just above.
-            self.pool.faults = self.faults
-            self.pool.obs = self.obs
-        # The snapshot shipper (parallel admission's worker-cache feeder)
-        # exists only when the knob and the pool are both on.
-        self.snapshots: SnapshotShipper | None = (
-            SnapshotShipper(self.dataspace, obs=self.obs)
-            if self.pool is not None and self.admit == "parallel"
-            else None
-        )
         if self.obs is not None:
             self.dataspace.attach_obs(self.obs)
             if self.faults is not None:
@@ -540,18 +447,6 @@ class Engine:
             o.gauge("sdl_rounds_total", self.scheduler.round_count)
             o.gauge("sdl_steps_total", self.step_count)
             o.gauge("sdl_commits_total", counters.commits)
-            if self.pool is not None:
-                o.gauge("sdl_worker_pool_size", self.pool.size)
-                o.gauge("sdl_worker_pool_peak_inflight", self.pool.peak_inflight)
-            if self.snapshots is not None:
-                o.gauge("sdl_snapshot_ship_bytes", self.snapshots.ship_bytes)
-                # Per-worker snapshot freshness: sorted idents get compact
-                # slot-numbered gauges (obs gauges are unlabeled).
-                for slot, ident in enumerate(sorted(self.snapshots.worker_versions)):
-                    o.gauge(
-                        f"sdl_snapshot_worker_version_{slot}",
-                        self.snapshots.worker_versions[ident],
-                    )
             if planner is not None:
                 o.gauge("sdl_plan_cache_size", planner.cache_size)
                 o.gauge("sdl_plan_hit_rate", planner.hit_rate)
@@ -572,7 +467,6 @@ class Engine:
                 for key, value in totals.items():
                     o.gauge(f"sdl_columnar_{key}", value)
             metrics = o.snapshot()
-        pool = self.pool
         durable = self.recovery if isinstance(self.recovery, DurableLog) else None
         return RunResult(
             reason=reason,
@@ -596,28 +490,6 @@ class Engine:
             batch_commits=counters.batch_commits,
             conflicts=counters.conflicts,
             max_batch=counters.max_batch,
-            parallel_rounds=pool.rounds if pool is not None else 0,
-            parallel_groups=pool.groups if pool is not None else 0,
-            parallel_candidates=pool.candidates if pool is not None else 0,
-            parallel_fallbacks=pool.fallbacks if pool is not None else 0,
-            admit_rounds=pool.admit_rounds if pool is not None else 0,
-            admit_tasks=pool.admit_tasks if pool is not None else 0,
-            admit_candidates=pool.admit_candidates if pool is not None else 0,
-            admit_fallbacks=pool.admit_fallbacks if pool is not None else 0,
-            snapshot_ship_bytes=(
-                self.snapshots.ship_bytes if self.snapshots is not None else 0
-            ),
-            snapshot_refreshes_delta=(
-                self.snapshots.refreshes["delta"] if self.snapshots is not None else 0
-            ),
-            snapshot_refreshes_full=(
-                self.snapshots.refreshes["full"] if self.snapshots is not None else 0
-            ),
-            worker_timeouts=pool.timeouts if pool is not None else 0,
-            worker_retries=pool.retried if pool is not None else 0,
-            worker_respawns=pool.respawns if pool is not None else 0,
-            worker_quarantined=pool.quarantined if pool is not None else 0,
-            worker_plan_rejects=pool.plan_rejects if pool is not None else 0,
             crashes=counters.crashes,
             restarts=counters.restarts,
             recoveries=self.supervisor.recoveries,

@@ -27,9 +27,10 @@ Storage sites (the durable-log file layer, :mod:`repro.runtime.recovery`;
 no process is involved, so ``pid``/``name`` filters never match):
 
 * ``wal-append`` — a WAL frame is about to be appended to the live
-  segment.  ``torn-write`` persists only a seeded prefix of the frame,
-  ``bit-flip`` corrupts one seeded bit of the payload, ``lost-fsync``
-  models a page-cache loss (the frame's bytes never become durable).
+  segment.  ``torn-write`` persists only a seeded non-empty prefix of the
+  frame, ``bit-flip`` corrupts one seeded bit of the payload,
+  ``lost-fsync`` models a page-cache loss (the frame's bytes never become
+  durable).
 * ``checkpoint-write`` — a checkpoint segment is about to be committed;
   the same three actions corrupt it, and a corrupt checkpoint must make
   :meth:`~repro.runtime.recovery.DurableLog.load` fall back to an older
@@ -37,24 +38,6 @@ no process is involved, so ``pid``/``name`` filters never match):
 * ``segment-read`` — a segment file is about to be read back.
   ``short-read`` truncates the returned bytes at a seeded offset,
   ``bit-flip`` corrupts one seeded bit in flight.
-
-Worker-pool site (:mod:`repro.runtime.parallel`; fired on the main
-process, once per dispatched group, so schedules are deterministic):
-
-* ``worker-exec`` — a shard-disjoint group is about to be shipped to a
-  pool worker.  ``worker-crash`` kills the worker process mid-evaluation
-  (breaking the pool), ``worker-hang`` makes it sleep past the engine's
-  deadline, ``garbage-plan`` returns a corrupted
-  :class:`~repro.runtime.parallel.ActionPlan` that main-side validation
-  must reject before replay.
-* ``admit-dispatch`` — an admission task (one shard's batch of match
-  candidates, ``admit="parallel"``) is about to be shipped to a pool
-  worker.  ``worker-crash`` is the apply-phase crash at admission time;
-  ``stale-snapshot`` makes the worker report a snapshot one version
-  behind the round target, which the walk's version check must reject to
-  serial; ``garbage-footprint`` corrupts the reported match rows' tuple
-  serials, which per-row validation against the live candidate list must
-  reject before any RNG draw.
 
 Determinism: the injector owns a private :class:`random.Random` seeded
 from the plan, so probabilistic faults are reproducible per plan seed and
@@ -88,14 +71,11 @@ __all__ = ["SITES", "ACTIONS", "FaultSpec", "FaultPlan", "FaultInjector"]
 
 SITES = (
     "pre-commit", "post-match", "batch-admit", "wakeup-deliver", "pump-spawn",
-    "wal-append", "checkpoint-write", "segment-read", "worker-exec",
-    "admit-dispatch",
+    "wal-append", "checkpoint-write", "segment-read",
 )
 ACTIONS = (
     "crash", "abort-txn", "drop-wake", "delay-wake", "kill-round",
     "torn-write", "bit-flip", "short-read", "lost-fsync",
-    "worker-crash", "worker-hang", "garbage-plan",
-    "stale-snapshot", "garbage-footprint",
 )
 
 #: Which actions make sense at which site (validated at plan build time).
@@ -108,8 +88,6 @@ _SITE_ACTIONS = {
     "wal-append": ("torn-write", "bit-flip", "lost-fsync"),
     "checkpoint-write": ("torn-write", "bit-flip", "lost-fsync"),
     "segment-read": ("short-read", "bit-flip"),
-    "worker-exec": ("worker-crash", "worker-hang", "garbage-plan"),
-    "admit-dispatch": ("worker-crash", "stale-snapshot", "garbage-footprint"),
 }
 
 _ACTION_ALIASES = {"drop": "drop-wake", "delay": "delay-wake", "abort": "abort-txn"}

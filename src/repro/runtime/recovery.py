@@ -297,8 +297,9 @@ def _state_signature(space: Dataspace) -> list[tuple]:
 # WAL segment ``wal-<version>.seg`` (opened when checkpoint <version>
 # commits, so segments chain contiguously):
 #     ("chg", version, [(serial, owner, values), ...], [(serial, owner), ...])
-# Frame versions must be strictly increasing across the chain; replay
-# stops at the first violation as if the frame were corrupt.
+# Frame versions must increase by exactly one across the chain (one frame
+# per dataspace version, so a gap is a lost frame); replay stops at the
+# first violation as if the frame were corrupt.
 
 _MAGIC = b"SDLSEG1\n"
 _HEADER = struct.Struct(">II")
@@ -314,15 +315,17 @@ def _frame(record: Any) -> bytes:
 def _corrupt(data: bytes, action: str, rng, lo: int = 0) -> bytes:
     """Apply a storage-fault *action* to *data* (seeded by the injector RNG).
 
-    ``torn-write`` keeps a strict prefix, ``bit-flip`` flips one bit at or
-    after byte *lo* (past the magic, so the damage lands in a frame), and
-    ``lost-fsync`` models the page cache never reaching disk: the bytes
-    occupy their offsets but read back as zeros.
+    ``torn-write`` keeps a non-empty strict prefix (an empty one is a write
+    that never happened, which no loader can tell from a shorter history),
+    ``bit-flip`` flips one bit at or after byte *lo* (past the magic, so the
+    damage lands in a frame), and ``lost-fsync`` models the page cache
+    never reaching disk: the bytes occupy their offsets but read back as
+    zeros.
     """
     if not data:
         return data
     if action == "torn-write":
-        return data[: rng.randrange(max(1, len(data)))]
+        return data[: rng.randrange(1, len(data))] if len(data) > 1 else data
     if action == "bit-flip":
         lo = min(lo, len(data) - 1)
         index = rng.randrange(lo, len(data))
@@ -802,7 +805,7 @@ class DurableLog(RecoveryLog):
                     report.repairs.append(RepairEvent(name, offset, "corrupt"))
                     return
                 __, version, asserted, retracted = record
-                if version <= last_version:
+                if version != last_version + 1:
                     report.repairs.append(RepairEvent(name, offset, "broken-chain"))
                     return
                 for serial, owner, values in asserted:

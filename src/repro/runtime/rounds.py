@@ -21,13 +21,7 @@ One round runs four phases over the items ready at its start:
   pairwise ``first_conflict`` walk is skipped after two O(1) set
   intersections (counted as ``sdl_shard_disjoint_admits_total``).  The
   skip elides only checks that would provably return "no conflict", so
-  admission decisions are identical with and without it.  Under
-  ``admit="parallel"`` the *match evaluation* half of this phase runs on
-  the worker pool over cached shard snapshots
-  (:func:`_dispatch_admission`) while the walk itself — validation,
-  plan-cache touch, the arbitration rotation draw, footprint admission —
-  stays sequential on the main process (:func:`_resolve_admit`), keeping
-  runs bit-identical to serial;
+  admission decisions are identical with and without it;
 * **Phase C — apply**: the admitted batch commits in arbitration order
   (optionally re-validated by serial replay);
 * **Phase D — tail**: the non-transaction items step against the live
@@ -41,25 +35,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.core.query import Match, QueryResult
 from repro.core.transactions import Control, Mode, Transaction, TransactionOutcome, execute
 from repro.runtime.commit import (
     first_conflict,
     footprint_for,
-    read_side,
     validate_serial_equivalence,
 )
 from repro.runtime.events import ConflictDetected, RoundCommitted, TxnFailed
 from repro.runtime.interpreter import TxnRequest
-from repro.runtime.parallel import (
-    _TASK_ENTRIES,
-    ActionPlan,
-    partition_disjoint,
-    prepare_match,
-    replay_plan,
-    validate_plan,
-    worker_eligible,
-)
 from repro.runtime.scheduler import ParkedTxn, Pump, Task, TaskState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -135,19 +118,6 @@ def run_group_round(executor: "Executor", items: list) -> list:
     watermark = engine.dataspace.serial
     partitioner = engine.dataspace.partitioner
     sharded = partitioner.shard_count > 1
-    # Parallel admission (``admit="parallel"``): ship each dispatchable
-    # candidate's match evaluation to a worker holding its home shard's
-    # cached snapshot, *before* the sequential walk below.  The walk then
-    # consumes the returned verdicts in arbitration order — validating
-    # each against the live candidate list and drawing the rotation from
-    # the engine RNG itself — so admission decisions, counters, and RNG
-    # stream stay bit-identical to serial evaluation (see
-    # :func:`_resolve_admit`).  ``{}`` when the knob is off or inert.
-    admit_verdicts = (
-        _dispatch_admission(engine, candidates, watermark)
-        if engine.admit == "parallel"
-        else {}
-    )
     admitted: list[tuple[Task, Transaction, Any, str]] = []
     admitted_fps: list = []
     # Union of the admitted batch's shard-sets, one per conflict rule:
@@ -185,11 +155,7 @@ def run_group_round(executor: "Executor", items: list) -> list:
         window = engine.window(process)
         lens = _SnapshotLens(window, watermark)
         scope = process.scope()
-        verdict = admit_verdicts.get(position)
-        if verdict is not None:
-            result = _resolve_admit(engine, verdict, txn, lens, scope)
-        else:
-            result = txn.query.evaluate(lens.refresh(), scope, engine.rng)
+        result = txn.query.evaluate(lens.refresh(), scope, engine.rng)
         if faults is not None:
             action = faults.fire("post-match", process.pid, process.name)
             if action == "crash":
@@ -204,7 +170,6 @@ def run_group_round(executor: "Executor", items: list) -> list:
             process,
             scope,
             partitioner if sharded else None,
-            reads=verdict[0].reads if verdict is not None else None,
         )
         if (
             admitted_fps
@@ -286,54 +251,21 @@ def run_group_round(executor: "Executor", items: list) -> list:
             for __ in range(count)
         ]
 
-    # Phase C — apply the admitted batch in arbitration order.  When the
-    # batch splits into shard-disjoint groups of worker-eligible
-    # candidates, their pure action evaluation is dispatched to the
-    # worker pool (plan), joined, and the resulting plans *replayed* here
-    # in admitted order (merge) — every dataspace mutation, serial,
-    # journal entry, and wakeup still happens on this process, in this
-    # loop, so results are bit-identical to serial apply (see
-    # `repro.runtime.parallel`).  Everything else executes inline.
+    # Phase C — apply the admitted batch in arbitration order.
     apply_start = obs.spans.now() if obs is not None else 0
-    plans = _parallel_plans(engine, admitted, admitted_fps, sharded, apply_start)
     applied: list[tuple[Task, Transaction, Any]] = []
-    for position, (task, txn, result, origin) in enumerate(admitted):
+    for task, txn, result, origin in admitted:
         if task.state is not TaskState.READY:
             continue  # its process crashed after admission (fault injection)
-        plan = plans.get(position)
-        if plan is not None:
-            # The worker is untrusted: before its plan touches the live
-            # dataspace, prove it stays inside what admission proved —
-            # op shapes, the admitted match multiplicity, and the
-            # footprint's write shards.  A reject re-executes serially.
-            reason = validate_plan(
-                plan,
-                txn,
-                result,
-                admitted_fps[position],
-                partitioner if sharded else None,
-            )
-            if reason is not None:
-                engine.pool.note_reject(reason)
-                plan = None
-        if plan is not None:
-            outcome = replay_plan(
-                plan,
-                result,
-                engine.window(task.process),
-                owner=task.process.pid,
-                export_policy=engine.export_policy,
-            )
-        else:
-            outcome = execute(
-                txn,
-                engine.window(task.process),
-                task.process.scope(),
-                owner=task.process.pid,
-                rng=engine.rng,
-                result=result,
-                export_policy=engine.export_policy,
-            )
+        outcome = execute(
+            txn,
+            engine.window(task.process),
+            task.process.scope(),
+            owner=task.process.pid,
+            rng=engine.rng,
+            result=result,
+            export_policy=engine.export_policy,
+        )
         _deliver_commit(executor, task, txn, outcome, origin)
         applied.append((task, txn, result))
     if obs is not None:
@@ -341,7 +273,7 @@ def run_group_round(executor: "Executor", items: list) -> list:
             "group-apply",
             apply_start,
             obs.spans.now() - apply_start,
-            {"applied": len(applied), "parallel": len(plans)},
+            {"applied": len(applied)},
         )
     engine.trace.emit(
         RoundCommitted(
@@ -375,272 +307,6 @@ def run_group_round(executor: "Executor", items: list) -> list:
         except _Crashed:
             continue  # the tail item's process died mid-step
     return losers
-
-
-def _parallel_plans(
-    engine,
-    admitted: list,
-    admitted_fps: list,
-    sharded: bool,
-    apply_start: int,
-) -> dict[int, ActionPlan]:
-    """Phase C plan/dispatch/join: worker plans keyed by batch position.
-
-    The dispatch rule: a candidate ships to a worker iff its read side is
-    shard-bounded and its action list is pure
-    (:func:`~repro.runtime.parallel.worker_eligible`), and the eligible
-    candidates split into at least two groups disjoint on
-    ``read_shards | retract_shards`` — the shards a candidate's verdict
-    depends on and contends in.  The write side is deliberately *not* a
-    grouping key: assert/assert commutes (the same asymmetry the
-    admission fast path exploits), so a shared assert sink — every
-    community logging to one ``done`` shard — must not collapse the
-    batch into a single group.  One group means no parallelism to
-    exploit, so serial apply keeps its zero-overhead path.  Candidates
-    without a plan (ineligible, cross-shard, or fallen back) execute
-    inline in the merge loop.
-    """
-    pool = engine.pool
-    if pool is None or not sharded or len(admitted) < 2:
-        return {}
-    labelled: list[tuple[int, frozenset[int]]] = []
-    for position, (task, txn, result, __) in enumerate(admitted):
-        if task.state is not TaskState.READY:
-            continue
-        fp = admitted_fps[position]
-        if fp.read_shards is None:
-            continue
-        if not worker_eligible(txn):
-            continue
-        labelled.append((position, fp.read_shards | fp.retract_shards))
-    if len(labelled) < 2:
-        return {}
-    groups = partition_disjoint(labelled)
-    if len(groups) < 2:
-        return {}
-    payloads = []
-    for group in groups:
-        payload = []
-        for position in group:
-            task, txn, result, __ = admitted[position]
-            once_env = (
-                dict(result.bindings) if result.matches else dict(task.process.scope())
-            )
-            match_bindings = [dict(m.bindings) for m in result.matches]
-            payload.append((txn.actions, once_env, match_bindings))
-        payloads.append(payload)
-    results = pool.dispatch(payloads)
-    plans: dict[int, ActionPlan] = {}
-    obs = engine.obs
-    dispatched = fallbacks = 0
-    for group, outcome in zip(groups, results):
-        if outcome is None:
-            fallbacks += 1
-            continue
-        group_plans, elapsed_ns = outcome
-        dispatched += 1
-        for position, plan in zip(group, group_plans):
-            plans[position] = plan
-        if obs is not None:
-            obs.observe_ns(
-                "parallel-apply", apply_start, elapsed_ns, {"group": len(group)}
-            )
-    if obs is not None:
-        if dispatched:
-            obs.count("sdl_parallel_batches_total", amount=dispatched)
-        if fallbacks:
-            obs.count("sdl_parallel_fallbacks_total", amount=fallbacks)
-    return plans
-
-
-def _dispatch_admission(engine, candidates: list, watermark: int) -> dict[int, tuple]:
-    """Phase B prepass: ship dispatchable candidates' match evaluation.
-
-    Groups worker-eligible candidates (:func:`prepare_match`) by the home
-    shard their position-0 probe routes to, bundles one snapshot task per
-    shard through the engine's :class:`SnapshotShipper`, and joins the
-    replies.  Returns ``{position: (meta, n, passes, errors)}`` verdicts
-    for the walk to validate and consume at each candidate's arbitration
-    position; everything not in the dict evaluates serially.
-
-    The prepass is **counter- and RNG-free**: eligibility probing uses the
-    memoised pattern compiler (never the planner's cache), the footprint
-    read side is precomputed because subscription derivation is pure, and
-    injected ``admit-dispatch`` faults draw from the injector's RNG only.
-    Requires ≥2 home-shard groups — one group means the walk would wait on
-    a single worker with no overlap to exploit, so serial evaluation keeps
-    its zero-overhead path.  A task that cannot be bundled or answered
-    (unpicklable entries, pool failure, a stale reply version) degrades
-    its whole group to serial, counted never raised.
-    """
-    pool = engine.pool
-    shipper = engine.snapshots
-    if (
-        pool is None
-        or pool.disabled
-        or shipper is None
-        or engine.planner is None
-        or len(candidates) < 2
-    ):
-        return {}
-    partitioner = engine.dataspace.partitioner
-    if partitioner.shard_count <= 1:
-        return {}
-    groups: dict[int, list[tuple[int, Any, dict]]] = {}
-    ineligible = 0
-    for position, (task, txn, __) in enumerate(candidates):
-        if task.state is not TaskState.READY:
-            continue
-        process = task.process
-        meta = prepare_match(txn.query, process, partitioner)
-        if meta is None:
-            ineligible += 1
-            continue
-        scope = process.scope()
-        try:
-            # Pure and result-independent, so hoisting it off the walk is
-            # safe; a derivation failure surfaces from the serial path's
-            # own ``footprint_for`` at the candidate's walk position.
-            meta.reads = read_side(txn, process, scope)
-        except Exception:
-            ineligible += 1
-            continue
-        groups.setdefault(meta.shard, []).append((position, meta, scope))
-    if len(groups) < 2:
-        return {}
-    obs = engine.obs
-    start = obs.spans.now() if obs is not None else 0
-    target = engine.dataspace.version
-    tasks: list[tuple] = []
-    task_shards: list[int] = []
-    for shard in sorted(groups):
-        entries = tuple(meta.entry(scope) for __, meta, scope in groups[shard])
-        try:
-            tasks.append(shipper.bundle(shard, target, watermark, entries))
-        except Exception:
-            pool.note_admit_fallback("unshippable", len(groups[shard]))
-            continue
-        task_shards.append(shard)
-    if not tasks:
-        return {}
-    if ineligible:
-        pool.note_admit_fallback("ineligible", ineligible)
-
-    def rebuild(task: tuple) -> tuple:
-        # Re-bundle the same shard and candidates with the blob attached
-        # (the ``need-full`` retry path): task indices per parallel.py.
-        return shipper.bundle(
-            task[1], task[2], task[4], task[_TASK_ENTRIES], with_blob=True
-        )
-
-    replies = pool.dispatch_matches(tasks, rebuild=rebuild)
-    verdicts: dict[int, tuple] = {}
-    for shard, reply in zip(task_shards, replies):
-        group = groups[shard]
-        if reply is None:
-            pool.note_admit_fallback("task-failed", len(group))
-            continue
-        __, ident, kind, version, results, elapsed_ns = reply
-        shipper.note_reply(kind, ident, version)
-        if version != target:
-            # The worker evaluated against some other version of the
-            # shard: no per-candidate verdict can be trusted.
-            pool.note_admit_fallback("stale-snapshot", len(group))
-            continue
-        if obs is not None:
-            obs.observe_ns(
-                "parallel-admit", start, elapsed_ns,
-                {"shard": shard, "candidates": len(group)},
-            )
-        for (position, meta, __scope), row_verdict in zip(group, results):
-            verdicts[position] = (meta, *row_verdict)
-    return verdicts
-
-
-def _resolve_admit(engine, verdict: tuple, txn: Transaction, lens, scope) -> QueryResult:
-    """Consume one worker verdict at its walk position, bit-identically.
-
-    The serial path for a dispatchable candidate — single-atom planned
-    query, unrestricted window — does exactly this, in this order: refresh
-    the window (counter-free when unrestricted), consult the plan cache
-    once, fetch the watermark-filtered candidate list once (the ``match``
-    obs site), draw **one** rotation index from the engine RNG iff the
-    list has ≥2 rows, and walk the rotated rows applying repeat checks and
-    the test.  The reconstruction replays that recipe with the worker's
-    pass set substituted for test evaluation:
-
-    1. *validate first* — the live candidate list must have exactly ``n``
-       rows and every passing row's tuple serial must match.  Validation
-       precedes the plan-cache touch and the RNG draw, so a rejected
-       verdict falls back to plain serial evaluation with every counter
-       and the RNG stream untouched (the only trace is one extra sample
-       in the ``sdl_match_seconds`` histogram, from the validation fetch);
-    2. a worker-side test **error** also falls back — the serial path
-       must raise (or skip) that row itself so exceptions and partial
-       FORALL enumerations are reproduced bit-exactly;
-    3. on the happy path, reconstruct the exact
-       :class:`~repro.core.query.QueryResult`: first passing row in
-       rotated order for ``∃``, all passing rows with signature dedup for
-       ``∀``, emptiness of the pass set for a negated query (whose draw
-       is still consumed iff ``n ≥ 2``, as serial does).
-    """
-    meta, n, passes, errors = verdict
-    pool = engine.pool
-    query = txn.query
-    lens.refresh()
-    if errors:
-        pool.note_admit_fallback("test-error")
-        return query.evaluate(lens, scope, engine.rng)
-    rows = lens.candidates_probed(meta.arity, list(meta.probes))
-    if len(rows) != n or any(
-        not (0 <= row < n and rows[row].tid.serial == serial)
-        for row, serial in passes
-    ):
-        pool.note_admit_fallback("verdict-mismatch")
-        return query.evaluate(lens, scope, engine.rng)
-    engine.planner.plan_for([meta.pattern], scope)
-    k = engine.rng.randrange(n) if n >= 2 else 0
-    if query.negated:
-        return QueryResult(not passes)
-    pass_rows = {row for row, __ in passes}
-    order = list(range(k, n)) + list(range(k))
-    retract = query.atoms[0].retract
-
-    def match_for(row: int) -> Match:
-        inst = rows[row]
-        values = inst.values
-        env = dict(scope)
-        for position, name in meta.binders:
-            env[name] = values[position]
-        return Match(env, (inst,), (inst,) if retract else ())
-
-    if query.quantifier == "exists":
-        for row in order:
-            if row in pass_rows:
-                return QueryResult(True, [match_for(row)])
-        return QueryResult(False)
-    # FORALL: all passing rows in rotated order, deduplicated by the same
-    # (variable values, retracted tids) signature serial evaluation uses.
-    # The serial path's live-exclusion set is provably vacuous for a
-    # single atom — each tuple appears once in the candidate list and is
-    # excluded only after its own match is accepted.
-    matches: list[Match] = []
-    seen: set[tuple] = set()
-    for row in order:
-        if row not in pass_rows:
-            continue
-        m = match_for(row)
-        signature = (
-            tuple(m.bindings.get(v) for v in query.variables),
-            tuple(sorted(i.tid for i in m.retracted)),
-        )
-        if signature in seen:
-            continue
-        seen.add(signature)
-        matches.append(m)
-    if query.require_nonempty and not matches:
-        return QueryResult(False)
-    return QueryResult(True, matches)
 
 
 def _group_failure(executor: "Executor", task: Task, txn: Transaction, origin: str) -> None:

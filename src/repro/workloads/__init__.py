@@ -20,7 +20,6 @@ from repro.workloads.images import (
     image_tuples,
     connected_regions,
 )
-from repro.workloads.compute import spin
 from repro.workloads.soup import soup_rows
 
 __all__ = [
@@ -37,5 +36,4 @@ __all__ = [
     "image_tuples",
     "connected_regions",
     "soup_rows",
-    "spin",
 ]

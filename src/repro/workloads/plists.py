@@ -27,13 +27,18 @@ def random_property_list(
     if length < 1:
         raise ValueError("property list length must be >= 1")
     rng = random.Random(seed)
-    names: set[str] = set()
+    # Draw order, not set iteration order: the latter follows the string
+    # hash, which PYTHONHASHSEED randomises per interpreter.
+    names: list[str] = []
+    seen: set[str] = set()
     while len(names) < length:
-        names.add("".join(rng.choices(string.ascii_lowercase, k=name_length)))
-    ordered = list(names)
-    rng.shuffle(ordered)
+        name = "".join(rng.choices(string.ascii_lowercase, k=name_length))
+        if name not in seen:
+            seen.add(name)
+            names.append(name)
+    rng.shuffle(names)
     rows = []
-    for index, name in enumerate(ordered):
+    for index, name in enumerate(names):
         nxt: Any = index + 1 if index + 1 < length else NIL
         rows.append((index, Atom(name), f"value-of-{name}", nxt))
     return rows

@@ -4,12 +4,11 @@ The struct-of-arrays backend (``ColumnarStore``) carries machinery the
 object store never needed — column promotion/demotion, tombstones and
 compaction, lazy per-position indexes, the column-scan kernel — and each
 mechanism has an invariant the differential suite alone would only catch
-indirectly.  This module pins them down directly, alongside the three
-bugfix regressions that ride with the PR: explicit ``head:N`` specs with
-``N < 2`` are rejected (covered in ``test_storage_properties``), the
-routing memo evicts a bounded slice instead of wiping itself, and journal
-restore goes through ``record()`` so the eviction watermark can never
-under-report after a pickle round trip.
+indirectly.  This module pins them down directly, alongside the routing
+memo regression (it evicts a bounded slice instead of wiping itself) and
+the pickle round trip of a store, which must keep its layout and never
+under-report the journal's eviction watermark.  (Explicit ``head:N`` specs
+with ``N < 2`` are rejected; that is covered in ``test_storage_properties``.)
 """
 
 import pickle
@@ -25,13 +24,11 @@ from repro.core.storage import (
     ColumnarStore,
     HeadPartitioner,
     TupleStore,
-    merge_serial_lists,
     resolve_store,
 )
 from repro.core.tuples import make_tuple
 from repro.errors import EngineError, SDLError
 from repro.runtime.engine import Engine
-from repro.runtime.parallel import load_shard, ship_shard
 
 a = Var("a")
 
@@ -252,7 +249,7 @@ class TestScanKernel:
 
 
 # ---------------------------------------------------------------------------
-# pickling + shard shipping
+# pickling
 # ---------------------------------------------------------------------------
 
 class TestPickleRoundTrip:
@@ -272,17 +269,6 @@ class TestPickleRoundTrip:
         assert [i.tid for i in clone.candidates_probed(3, [(1, 2)])] == [
             i.tid for i in store.candidates_probed(3, [(1, 2)])
         ]
-
-    @pytest.mark.parametrize("store_kind", ["object", "columnar"])
-    def test_ship_and_load_shard(self, store_kind):
-        ds = Dataspace(shards=4, store=store_kind)
-        ds.insert_many([(f"c{i % 5}", i) for i in range(60)])
-        shipped = [load_shard(ship_shard(s)) for s in ds.stores]
-        merged = merge_serial_lists(s.iter_serial() for s in shipped)
-        assert [i.tid for i in merged] == [i.tid for i in ds.instances()]
-        for original, clone in zip(ds.stores, shipped):
-            assert clone.kind == original.kind
-            assert clone.evicted_version == original.evicted_version
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +311,7 @@ class TestRoutingMemoEviction:
 
 
 # ---------------------------------------------------------------------------
-# S3 regression: journal restore routes through record()
+# S3 regression: the eviction watermark survives a pickle round trip
 # ---------------------------------------------------------------------------
 
 class TestWatermarkAfterPickle:
@@ -368,9 +354,9 @@ class TestWatermarkAfterPickle:
 
     @pytest.mark.parametrize("cls", [TupleStore, ColumnarStore])
     def test_pickled_watermark_survives_partial_journal(self, cls):
-        # The pickled watermark may exceed anything derivable from the
-        # restored entries (the journal was truncated upstream); restore
-        # must re-impose it, not recompute a smaller one.
+        # The watermark may exceed anything derivable from the journal's
+        # surviving entries; the clone must carry it over, not recompute a
+        # smaller one.
         store = cls(0)
         for change in self._stamps(range(1, JOURNAL_DEPTH + 50)):
             store.record(change)

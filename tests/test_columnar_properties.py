@@ -5,10 +5,9 @@ object store — same serials and versions, the same candidate **order**
 (which feeds the seeded arbitration RNG), the same journal windows, and
 at the engine level bit-identical program state and shard-independent
 ``RunResult`` counters under both commit modes, with and without shard
-partitioning and worker pools.  Random op scripts and random programs
-drive both backends side by side and assert the full observable surface
-matches, mirroring the shards≡single suite in
-``test_storage_properties``.
+partitioning.  Random op scripts and random programs drive both backends
+side by side and assert the full observable surface matches, mirroring
+the shards≡single suite in ``test_storage_properties``.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -196,14 +195,13 @@ def _counters(result):
     }
 
 
-def _run(store, n_comm, n_work, seed, commit, shards="single", workers=None):
+def _run(store, n_comm, n_work, seed, commit, shards="single"):
     engine = Engine(
         definitions=[community_worker(), pair_merger()],
         seed=seed,
         commit=commit,
         shards=shards,
         store=store,
-        workers=workers,
     )
     engine.assert_tuples(
         [(f"c{c}", i) for c in range(n_comm) for i in range(n_work + 2)]
@@ -242,14 +240,3 @@ class TestEngineEquivalence:
         first = _run("columnar", 3, 3, seed, commit, shards=4)
         second = _run("columnar", 3, 3, seed, commit, shards=4)
         assert first == second
-
-    @settings(max_examples=4, deadline=None)
-    @given(seed=seeds)
-    def test_columnar_worker_pool_run_is_bit_identical(self, seed):
-        object_run = _run(
-            "object", 3, 3, seed, "group", shards=4, workers=2
-        )
-        columnar_run = _run(
-            "columnar", 3, 3, seed, "group", shards=4, workers=2
-        )
-        assert columnar_run == object_run

@@ -1,6 +1,6 @@
 """DurableLog: segment round-trips, detect-and-truncate repair, engine wiring.
 
-The contract under test (SEMANTICS §15): a durable load never silently
+The contract under test (SEMANTICS §14): a durable load never silently
 returns corrupt state — every outcome is either a verified prefix of the
 persisted history or an explicit :class:`RecoveryError`, with every
 truncation/fallback recorded as a :class:`RepairEvent`.
@@ -15,7 +15,7 @@ from repro.core.dataspace import Dataspace
 from repro.errors import RecoveryError
 from repro.runtime import DurableLog, Engine, RecoveryLog
 from repro.runtime.faults import FaultInjector, FaultPlan
-from repro.runtime.recovery import _MAGIC, _state_signature
+from repro.runtime.recovery import _HEADER, _MAGIC, _state_signature
 
 
 def signature(space):
@@ -196,6 +196,28 @@ class TestRepair:
         scratch, report = DurableLog.load(str(tmp_path))
         assert any(r.kind == "broken-chain" for r in report.repairs)
         assert report.end_version <= hole_version
+
+    def test_missing_wal_frame_is_a_broken_chain(self, tmp_path):
+        space = Dataspace()
+        log = DurableLog(space, str(tmp_path), interval=64)
+        for i in range(3):
+            space.insert(("t", i))
+        log.close()
+        wal = seg_files(str(tmp_path), "wal")[-1]
+        data = open(wal, "rb").read()
+        frames, offset = [], len(_MAGIC)
+        while offset < len(data):
+            length, __ = _HEADER.unpack_from(data, offset)
+            frames.append(data[offset : offset + _HEADER.size + length])
+            offset += _HEADER.size + length
+        assert len(frames) == 3
+        # Version 2's frame vanishes whole: every surviving frame is intact,
+        # only the version gap shows the hole.
+        open(wal, "wb").write(data[: len(_MAGIC)] + frames[0] + frames[2])
+        scratch, report = DurableLog.load(str(tmp_path))
+        assert any(r.kind == "broken-chain" for r in report.repairs)
+        assert report.end_version == 1
+        assert signature(scratch) == [(("t", 0), 0)]
 
     def test_every_checkpoint_corrupt_raises(self, tmp_path):
         space = Dataspace()

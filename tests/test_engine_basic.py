@@ -1,5 +1,7 @@
 """Engine tests: immediate transactions, sequencing, spawning, termination."""
 
+import inspect
+
 import pytest
 
 from repro.core.actions import ABORT, EXIT, assert_tuple, let, spawn
@@ -142,8 +144,16 @@ class TestLimitsAndDeterminism:
                 )
             )
         ]
-        with pytest.raises(StepLimitExceeded):
-            single(looper, rows=[("x", 0)], seed=1)
+        engine = Engine(definitions=[ProcessDefinition("Main", body=looper)], seed=1)
+        engine.assert_tuples([("x", 0)])
+        engine.start("Main")
+        with pytest.raises(StepLimitExceeded) as err:
+            engine.run(max_steps=1000)
+        assert err.value.limit == 1000
+        assert engine.step_count == 1000
+        # A small explicit limit keeps this test fast; the default stays.
+        default = inspect.signature(Engine.run).parameters["max_steps"].default
+        assert default == 1_000_000
 
     def test_same_seed_same_run(self):
         a = Var("a")

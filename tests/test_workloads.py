@@ -1,7 +1,13 @@
 """Unit tests for the workload generators (repro.workloads)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.values import NIL
 from repro.workloads import (
     array_tuples,
@@ -69,6 +75,20 @@ class TestPropertyLists:
     def test_bad_length(self):
         with pytest.raises(ValueError):
             random_property_list(0)
+
+    def test_independent_of_string_hash_seed(self):
+        # Same seed, same list, whatever PYTHONHASHSEED the interpreter got.
+        code = "from repro.workloads import random_property_list as r; print(r(40, seed=3))"
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**env, "PYTHONHASHSEED": hash_seed},
+                capture_output=True, text=True, check=True, timeout=60,
+            ).stdout
+            for hash_seed in ("1", "2")
+        }
+        assert len(outputs) == 1
 
 
 class TestImages:
