@@ -31,8 +31,10 @@ state.  For ordinary rules (pattern + guard) an import decision depends
 only on the tuple's own values and the process parameters, so it stays
 valid across unrelated mutations; retracted instances are evicted and
 asserted instances are classified on arrival.  Rules carrying ``where``
-context atoms make coverage configuration-dependent, so any change falls
-back to a conservative full invalidation — exactly the seed behaviour.
+context atoms make coverage configuration-dependent, but only on the
+tuples those atoms can match: a delta none of whose instances matches a
+``where`` atom under the process parameters alone is folded the same way,
+and only a *where-relevant* delta forces a full invalidation.
 :class:`WindowStats` counts hits/misses/delta-vs-full refreshes so the
 incrementality win is observable from :class:`~repro.runtime.engine.RunResult`.
 """
@@ -46,7 +48,7 @@ from repro.core.dataspace import Dataspace, DataspaceChange
 from repro.core.expressions import Bindings, EvalContext, Expr
 from repro.core.patterns import Pattern, pattern as make_pattern
 from repro.core.tuples import TupleId, TupleInstance
-from repro.errors import ViewError
+from repro.errors import UnboundVariableError, ViewError
 
 __all__ = [
     "ViewRule",
@@ -77,17 +79,6 @@ class ViewRule:
         self.pattern = pat
         self.guard = guard
         self.where = tuple(where)
-        if guard is not None:
-            loose = guard.free_variables() - pat.free_variables() - self._where_vars()
-            # Loose guard variables must be process parameters; they are
-            # checked when the rule is evaluated, not here.
-            del loose
-
-    def _where_vars(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for atom in self.where:
-            out |= atom.free_variables()
-        return out
 
     def covers(
         self,
@@ -107,7 +98,6 @@ class ViewRule:
         if self.where and not _where_satisfiable(dataspace, self.where, merged):
             return False
         if self.guard is not None:
-            merged = {**params, **new} if not self.where else merged
             ctx = EvalContext(Bindings(merged))
             if not bool(self.guard.evaluate(ctx)):
                 return False
@@ -165,7 +155,7 @@ class View:
     whenever the view covers the entire dataspace".
     """
 
-    __slots__ = ("imports", "exports", "unrestricted", "config_dependent")
+    __slots__ = ("imports", "exports", "unrestricted", "where_atoms", "config_dependent")
 
     def __init__(
         self,
@@ -179,11 +169,13 @@ class View:
             None if exports is None else tuple(_as_rule(r) for r in exports)
         )
         self.unrestricted = self.imports is None and self.exports is None
-        #: Import coverage can change on *any* dataspace change (``where``
-        #: context atoms) — consumers must use conservative invalidation.
-        self.config_dependent = bool(self.imports) and any(
-            rule.where for rule in self.imports
+        #: The import rules' ``where`` context atoms.  Coverage depends on
+        #: the dataspace tuples they match, so a change to such a tuple
+        #: invalidates a window's decisions; other changes fold as deltas.
+        self.where_atoms = tuple(
+            atom for rule in self.imports or () for atom in rule.where
         )
+        self.config_dependent = bool(self.where_atoms)
 
     @classmethod
     def full(cls) -> "View":
@@ -243,8 +235,9 @@ class Window:
     (:meth:`candidates`, :meth:`find_matching`, :meth:`count_matching`) but
     filters instances through the view's import rules, memoising per-instance
     decisions.  :meth:`refresh` reconciles the memo and footprint with the
-    dataspace by consuming the delta journal; only a configuration-dependent
-    view (``where`` atoms) or a journal gap forces a full invalidation.
+    dataspace by consuming the delta journal; only a journal gap or a delta
+    that touches a tuple some ``where`` atom can match forces a full
+    invalidation.
     """
 
     __slots__ = (
@@ -279,12 +272,8 @@ class Window:
             self._footprint_frozen = None
             self._memo_version = version
             return self
-        changes = (
-            None
-            if self.view.config_dependent
-            else self.dataspace.changes_since(self._memo_version)
-        )
-        if changes is None:
+        changes = self.dataspace.changes_since(self._memo_version)
+        if changes is None or (self.view.config_dependent and self._where_touched(changes)):
             self._memo.clear()
             self._footprint = None
             self._footprint_frozen = None
@@ -295,13 +284,35 @@ class Window:
         self._memo_version = version
         return self
 
+    def _where_touched(self, changes: Sequence[DataspaceChange]) -> bool:
+        """Does some instance in *changes* match a ``where`` atom under the params?
+
+        ``where`` atoms are matched against the dataspace under bindings that
+        extend the process parameters, so a tuple that fails an atom under
+        the parameters alone takes part in no such match.  An atom that
+        cannot be evaluated under the parameters alone counts as touched.
+        """
+        atoms, params = self.view.where_atoms, self.params
+        for change in changes:
+            for inst in (*change.asserted, *change.retracted):
+                for atom in atoms:
+                    try:
+                        if atom.match(inst.values, params) is not None:
+                            return True
+                    except UnboundVariableError:
+                        return True
+        return False
+
     def _apply_deltas(self, changes: Sequence[DataspaceChange]) -> None:
         """Fold journal deltas into the memo and (if materialised) footprint.
 
-        Sound because, absent ``where`` atoms, a rule's coverage of a tuple
-        depends only on the tuple's values and the (fixed) process params —
-        decisions for surviving instances cannot be perturbed by other
-        instances coming or going.
+        Sound because a rule's coverage of a tuple depends only on the
+        tuple's values, the (fixed) process params and, for ``where`` rules,
+        the tuples the ``where`` atoms can match — which :meth:`refresh` has
+        checked the whole delta leaves alone.  Decisions for surviving
+        instances cannot be perturbed by other instances coming or going,
+        and asserted instances are classified against the same ``where``
+        context they had at any point of the delta.
         """
         memo = self._memo
         footprint = self._footprint

@@ -14,7 +14,7 @@ owns the program-visible objects (dataspace, society, trace, windows).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.core.consensus import (
     ConsensusParticipant,
@@ -22,6 +22,7 @@ from repro.core.consensus import (
     partition,
 )
 from repro.core.constructs import GuardedSequence, Replication
+from repro.core.dataspace import Dataspace
 from repro.core.process import ProcessInstance, ProcessStatus
 from repro.core.transactions import (
     Control,
@@ -30,7 +31,8 @@ from repro.core.transactions import (
     TransactionOutcome,
     execute,
 )
-from repro.core.tuples import TupleInstance
+from repro.core.tuples import TupleId, TupleInstance
+from repro.core.views import Window
 from repro.errors import EngineError
 from repro.runtime.events import (
     ConsensusFired,
@@ -670,6 +672,14 @@ class Executor:
         return fired
 
     def _try_consensus(self) -> bool:
+        """Fire the first ready consensus set, if any.
+
+        Detection costs one :func:`partition` of the restricted waiters
+        plus one pass over the runners' footprints, and never materialises
+        ``D`` for a FULL view (:func:`unblocked_components`).  Sets are
+        tried in partition order; blocked sets are skipped before any
+        query evaluation.
+        """
         engine = self.engine
         self.consensus_dirty = False
         if not self.consensus_waiters:
@@ -686,17 +696,11 @@ class Executor:
             pid: engine.window(task.process)
             for pid, task in self.consensus_waiters.items()
         }
-        components = partition(waiter_windows)
-        live_others = [
-            proc for proc in engine.society.live()
+        runner_windows = (
+            engine.window(proc) for proc in engine.society.live()
             if proc.pid not in self.consensus_waiters
-        ]
-        for component in components:
-            footprint: set = set()
-            for pid in component:
-                footprint.update(waiter_windows[pid].footprint())
-            if self._component_blocked_by_runner(footprint, live_others):
-                continue
+        )
+        for component in unblocked_components(waiter_windows, runner_windows, engine.dataspace):
             participants = self._gather_participants(component)
             if participants is None:
                 continue
@@ -706,24 +710,6 @@ class Executor:
             self._fire_consensus(participants, effect)
             return True
         self._consensus_memo = key
-        return False
-
-    def _component_blocked_by_runner(
-        self, footprint: set, live_others: list[ProcessInstance]
-    ) -> bool:
-        """Is some live, non-waiting process part of this consensus set?
-
-        Uses the runners' (delta-maintained, index-probed) footprints so the
-        test is an O(min(|window|, |component|)) set intersection per
-        runner rather than a per-tuple import-rule evaluation.
-        """
-        if not footprint:
-            return False
-        for proc in live_others:
-            other = self.engine.window(proc).footprint()
-            small, large = (other, footprint) if len(other) < len(footprint) else (footprint, other)
-            if any(tid in large for tid in small):
-                return True
         return False
 
     def _gather_participants(self, component: frozenset[int]) -> list[ConsensusParticipant] | None:
@@ -809,3 +795,55 @@ class Executor:
         if changed:
             self._wake_on_change(changed)
         self._consensus_memo = None
+
+
+def unblocked_components(
+    waiters: Mapping[int, Window], runners: Iterable[Window], dataspace: Dataspace
+) -> list[frozenset[int]]:
+    """The consensus sets of *waiters* that no window in *runners* overlaps.
+
+    Sets come in the order :func:`partition` over every waiter would give,
+    by first member in *waiters* order.  A FULL-view window imports all of
+    ``D``: FULL-view waiters join every set with a non-empty footprint when
+    ``D`` is non-empty (and stand alone when it is empty), and a FULL-view
+    runner blocks every such set.  Other runners' footprints are walked
+    once, against a tid -> set map, until every non-empty set is blocked.
+    """
+    restricted = {pid: w for pid, w in waiters.items() if w.view.imports is not None}
+    components = partition(restricted)
+    owner: dict[TupleId, int] = {}
+    for index, component in enumerate(components):
+        for pid in component:
+            owner.update(dict.fromkeys(restricted[pid].footprint(), index))
+    nonempty = set(owner.values())
+    imports_d = False  # is the one non-empty set's footprint all of D?
+    if len(restricted) < len(waiters):
+        full = [pid for pid in waiters if pid not in restricted]
+        if len(dataspace):
+            joined = frozenset(full).union(*(components[i] for i in nonempty))
+            components = [c for i, c in enumerate(components) if i not in nonempty]
+            components.append(joined)
+            owner, nonempty, imports_d = {}, {len(components) - 1}, True
+        else:
+            components.extend(frozenset((pid,)) for pid in full)
+    blocked: set[int] = set()
+    for window in runners:
+        if len(blocked) == len(nonempty):
+            break
+        if window.view.imports is None:
+            blocked = nonempty
+            break
+        footprint = window.footprint()
+        if imports_d:
+            # Every runner footprint lies in D, so any non-empty one overlaps.
+            if footprint:
+                blocked = nonempty
+        elif len(footprint) <= len(owner):
+            blocked.update(owner[tid] for tid in footprint if tid in owner)
+        else:
+            blocked.update(index for tid, index in owner.items() if tid in footprint)
+    position = {pid: i for i, pid in enumerate(waiters)}
+    return sorted(
+        (c for i, c in enumerate(components) if i not in blocked),
+        key=lambda c: min(position[pid] for pid in c),
+    )

@@ -1,17 +1,29 @@
 """Engine tests: consensus transactions, consensus sets, composite commits."""
 
+import random
+
 import pytest
 
 from repro.core.actions import EXIT, assert_tuple
+from repro.core.consensus import partition
 from repro.core.constructs import guarded, repeat
+from repro.core.dataspace import Dataspace
 from repro.core.expressions import Var, variables
 from repro.core.patterns import ANY, P
 from repro.core.process import ProcessDefinition
 from repro.core.query import exists, no
 from repro.core.transactions import consensus, delayed, immediate
+from repro.core.views import View, import_rule
 from repro.errors import DeadlockError, EngineError
+from repro.programs.labeling import run_community_labeling
+from repro.programs.plist import run_sort
+from repro.programs.summation import run_sum1
 from repro.runtime.engine import Engine
 from repro.runtime.events import ConsensusFired, Trace
+from repro.runtime.executor import Executor, unblocked_components
+from repro.workloads.arrays import random_array
+from repro.workloads.images import random_blob_image
+from repro.workloads.plists import random_property_list
 
 
 class TestBarrier:
@@ -225,3 +237,123 @@ class TestCompositeEffect:
         engine.start("Bad")
         with pytest.raises(EngineError):
             engine.run()
+
+
+# ---------------------------------------------------------------------------
+# Consensus detection: identical runs, bounded cost, blocking differential
+# ---------------------------------------------------------------------------
+
+#: The engine configuration the pinned counts below were measured under.
+_PINNED = {"plan": "on"}
+
+
+def _counts(result):
+    return (result.steps, result.commits, result.rounds, result.consensus_rounds)
+
+
+class TestConsensusIdentity:
+    """Per-seed counts of the paper's consensus programs, pinned.
+
+    ``(steps, commits, rounds, consensus_rounds)`` and the region completion
+    order (label, round) must not move when consensus detection gets
+    cheaper: a detector that skipped or reordered a set, or evaluated a
+    blocked one, would draw differently from ``engine.rng``.
+    """
+
+    @pytest.mark.parametrize(
+        "image_args, commit, counts, completions",
+        [
+            ((5, 5, 3, 11), "live", (244, 175, 12, 3), [((1, 4), 5), ((4, 2), 6), ((4, 4), 10)]),
+            ((5, 5, 3, 11), "group", (1048, 173, 55, 3), [((1, 4), 29), ((4, 2), 30), ((4, 4), 34)]),
+            ((6, 4, 2, 4), "live", (228, 161, 12, 3), [((2, 1), 6), ((5, 2), 6), ((5, 3), 10)]),
+            ((6, 4, 2, 4), "group", (999, 164, 54, 3), [((5, 2), 29), ((2, 1), 30), ((5, 3), 33)]),
+        ],
+    )
+    def test_community_labeling(self, image_args, commit, counts, completions):
+        width, height, blobs, seed = image_args
+        image = random_blob_image(width, height, blobs=blobs, seed=seed)
+        out = run_community_labeling(image, seed=3, commit=commit, **_PINNED)
+        assert out.correct
+        assert _counts(out.result) == counts
+        assert out.completions == completions
+
+    def test_sort_24_nodes(self):
+        rows = random_property_list(24, seed=5)
+        out = run_sort(rows, seed=3, commit="live", **_PINNED)
+        assert out.answer == sorted(str(r[1]) for r in rows)
+        assert _counts(out.result) == (335, 212, 21, 1)
+
+    def test_sum1_64(self):
+        values = random_array(64, seed=2)
+        out = run_sum1(values, seed=1, commit="live", **_PINNED)
+        assert out.total == sum(values)
+        assert _counts(out.result) == (252, 189, 19, 6)
+
+    def test_sum1_consensus_never_materialises_the_dataspace(self, monkeypatch):
+        """Sum1's FULL-view phase barrier is detected without ``D.tids()``."""
+        inside = [False]
+        calls = [0]
+        tids, try_consensus = Dataspace.tids, Executor.try_consensus
+
+        def counting_tids(self):
+            calls[0] += inside[0]
+            return tids(self)
+
+        def flagged_try_consensus(self):
+            inside[0] = True
+            try:
+                return try_consensus(self)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(Dataspace, "tids", counting_tids)
+        monkeypatch.setattr(Executor, "try_consensus", flagged_try_consensus)
+        out = run_sum1(random_array(64, seed=2), seed=1, commit="live", **_PINNED)
+        assert out.result.consensus_rounds == 6
+        assert calls[0] == 0
+
+
+def _reference_blocking(waiters, runners):
+    """Partition every waiter footprint, then test each set against each runner."""
+    components = partition(waiters)
+    blocked = set()
+    for index, component in enumerate(components):
+        footprint = set().union(*(waiters[pid].footprint() for pid in component))
+        if footprint and any(footprint & runner.footprint() for runner in runners):
+            blocked.add(index)
+    return components, blocked
+
+
+class TestBlockingDifferential:
+    """One-pass blocking agrees with partition plus per-runner overlap."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_blocked_components_match_reference(self, seed):
+        rng = random.Random(seed)
+        k, pi = Var("k"), Var("pi")
+        views = [
+            View.full(),
+            View(imports=[import_rule("a", k, ANY)]),
+            View(imports=[import_rule("b", pi, ANY, where=[P["on", pi, k]])]),
+        ]
+        ds = Dataspace()
+        if seed % 5:  # every fifth seed keeps D empty
+            rows = [
+                (rng.choice(["a", "b", "on"]), rng.randrange(4), rng.randrange(4))
+                for __ in range(rng.randrange(1, 10))
+            ]
+            ds.insert_many(rows)
+        windows = [
+            rng.choice(views).window(ds, {"k": rng.randrange(4)})
+            for __ in range(rng.randrange(1, 9))
+        ]
+        cut = rng.randrange(1, len(windows) + 1)
+        # Waiter order is registration order, not pid order.
+        waiters = dict(zip(rng.sample(range(100), cut), windows[:cut]))
+        runners = windows[cut:]
+
+        components, blocked = _reference_blocking(waiters, runners)
+        assert unblocked_components(waiters, [], ds) == components
+        assert unblocked_components(waiters, runners, ds) == [
+            c for i, c in enumerate(components) if i not in blocked
+        ]

@@ -9,6 +9,11 @@ Covers the three observable guarantees of the incremental engine:
   `"arity"` filter did, and the counters proving it surface in RunResult.
 """
 
+import dataclasses
+
+import pytest
+from hypothesis import given, strategies as st
+
 from repro.core.actions import assert_tuple
 from repro.core.dataspace import JOURNAL_DEPTH, Dataspace, DataspaceChange
 from repro.core.expressions import Var
@@ -208,6 +213,114 @@ class TestWindowIncrementality:
         ds.insert(("enable", 5))  # different arity, but changes coverage
         assert window.footprint() == {item.tid}
         assert window.stats.full_invalidations >= 1
+
+
+def _label_view() -> View:
+    """The community model's shape: labels of pixels carrying threshold t."""
+    pi = Var("pi")
+    return View(imports=[import_rule("label", pi, ANY, where=[P["threshold", pi, Var("t")]])])
+
+
+class TestWhereWindowDeltas:
+    """A ``where`` window folds deltas that no ``where`` atom can match."""
+
+    def _warm(self):
+        ds = Dataspace()
+        window = _label_view().window(ds, {"t": 1})
+        ds.insert(("threshold", 1, 1))
+        label = ds.insert(("label", 1, 1))
+        assert window.footprint() == {label.tid}
+        assert window.imports_instance(label)  # warm the memo
+        return ds, window, label
+
+    def _assert_delta_path(self, window, label, before):
+        assert window.footprint() == {label.tid}
+        assert window.stats.delta_refreshes == before.delta_refreshes + 1
+        assert window.stats.full_invalidations == before.full_invalidations
+        assert window.stats.footprint_recomputes == before.footprint_recomputes
+        hits = window.stats.hits
+        assert window.imports_instance(label)
+        assert window.stats.hits == hits + 1
+
+    def test_change_matching_no_where_atom_takes_delta_path(self):
+        ds, window, label = self._warm()
+        before = dataclasses.replace(window.stats)
+        ds.insert(("label", 2, 2))  # same arity and head as imported tuples
+        self._assert_delta_path(window, label, before)
+
+    def test_where_arity_tuple_with_other_parameter_takes_delta_path(self):
+        ds, window, label = self._warm()
+        before = dataclasses.replace(window.stats)
+        ds.insert(("threshold", 2, 0))  # <threshold, p, 1 - t>
+        self._assert_delta_path(window, label, before)
+
+    def test_matching_where_tuple_still_invalidates(self):
+        ds, window, label = self._warm()
+        other = ds.insert(("label", 2, 2))
+        assert window.footprint() == {label.tid}
+        invalidations = window.stats.full_invalidations
+        ds.insert(("threshold", 2, 1))
+        assert window.footprint() == {label.tid, other.tid}
+        assert window.stats.full_invalidations == invalidations + 1
+
+
+_pi, _lam, _q, _t = Var("pi"), Var("lam"), Var("q"), Var("t")
+
+#: Differential views: one ``where`` atom; two atoms sharing a variable that
+#: is no process parameter; a guarded ``where`` rule beside a static rule; an
+#: atom field that cannot be evaluated under the process parameters alone.
+_WHERE_VIEWS = [
+    View(imports=[import_rule("label", _pi, ANY, where=[P["threshold", _pi, _t]])]),
+    View(imports=[
+        import_rule("label", _pi, ANY, where=[P["link", _pi, _q], P["threshold", _q, _t]]),
+    ]),
+    View(imports=[
+        import_rule("label", _pi, _lam, guard=_lam >= _pi, where=[P["threshold", _pi, _t]]),
+        import_rule("image", _pi, ANY),
+    ]),
+    View(imports=[import_rule("label", _pi, ANY, where=[P["threshold", _pi - 1, _t]])]),
+]
+
+_small = st.integers(min_value=0, max_value=1)
+_rows = st.one_of(
+    st.tuples(st.just("threshold"), _small, _small),
+    st.tuples(st.just("link"), _small, _small),
+    st.tuples(st.just("label"), _small, _small),
+    st.tuples(st.just("image"), _small, _small),
+    st.tuples(st.just("noise"), _small),
+)
+#: One op: insert a batch of rows, or retract one live instance of each row.
+_ops = st.lists(
+    st.tuples(st.sampled_from(["insert", "retract"]), st.lists(_rows, min_size=1, max_size=3)),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestWhereWindowDifferential:
+    """Delta-maintained ``where`` windows equal freshly built ones."""
+
+    @pytest.mark.parametrize("view", _WHERE_VIEWS, ids=["one-atom", "shared-var", "guarded", "expression"])
+    @given(ops=_ops)
+    def test_delta_window_matches_fresh_window(self, view, ops):
+        ds = Dataspace()
+        params = {"t": 1}
+        window = view.window(ds, params)
+        for kind, args in ops:
+            if kind == "insert":
+                if len(args) == 1:
+                    ds.insert(args[0])
+                else:
+                    ds.insert_many(args)
+            else:
+                for row in args:
+                    hits = ds.find_matching(P[row])
+                    if hits:
+                        ds.retract(hits[0].tid)
+            fresh = view.window(ds, params)
+            assert window.footprint() == fresh.footprint()
+            for inst in ds.instances():
+                assert window.imports_instance(inst) == fresh.imports_instance(inst)
 
 
 def _noise_program(wake_filter: str):
