@@ -47,7 +47,7 @@ def _mover():
 
 def _drive(wal_dir=None, faults=None, seed=7):
     engine = Engine(
-        definitions=[_mover()], seed=seed, commit="group", shards=4,
+        definitions=[_mover()], seed=seed, commit="group",
         wal_dir=wal_dir, checkpoint_interval=INTERVAL if wal_dir else None,
         faults=faults,
     )
@@ -105,7 +105,7 @@ def test_e19_shape_recovery_bounded_by_interval(benchmark, tmp_path):
         rows = []
         for ops in (500, 2_000, 8_000):
             wal_dir = str(tmp_path / f"w{ops}")
-            space = Dataspace(shards=4)
+            space = Dataspace()
             log = DurableLog(space, wal_dir, interval=INTERVAL, keep=4)
             tids = []
             # Sliding window: the live set stays ~200 instances however

@@ -697,66 +697,6 @@ def e16() -> None:
     )
 
 
-def e17() -> None:
-    from repro.core.actions import assert_tuple
-    from repro.core.expressions import Var
-    from repro.core.process import ProcessDefinition
-    from repro.core.transactions import delayed
-    from repro.runtime.engine import Engine
-
-    a = Var("a")
-    workers, depth = 24, 3
-    worker = ProcessDefinition(
-        "W",
-        params=("k",),
-        body=[
-            delayed(exists(a).match(P[Var("k"), a].retract())).then(
-                assert_tuple("done", Var("k"), a)
-            )
-            for __ in range(depth)
-        ],
-    )
-
-    def run(shards, commit="live", obs=None):
-        engine = Engine(
-            definitions=[worker], seed=7, commit=commit, shards=shards, obs=obs
-        )
-        engine.assert_tuples([(k, d) for k in range(workers) for d in range(depth)])
-        for k in range(workers):
-            engine.start("W", (k,))
-        result = engine.run()
-        assert result.completed
-        return engine, result
-
-    rows = []
-    for shards in ("single", 2, 4, 8):
-        __, t_best = min(
-            (timed(run, shards) for __ in range(3)), key=lambda pair: pair[1]
-        )
-        engine, result = run(shards, commit="group", obs=True)
-        skips = result.metrics.get("sdl_shard_disjoint_admits_total", {}).get(
-            "data", 0
-        )
-        sizes = engine.dataspace.shard_sizes()
-        rows.append(
-            [
-                engine.dataspace.shard_spec,
-                f"{t_best*1000:.1f}",
-                result.rounds,
-                result.max_batch,
-                skips,
-                "/".join(str(s) for s in sizes),
-            ]
-        )
-    table(
-        "E17 — sharded storage: routing cost and disjoint-admission bypass "
-        f"({workers} communities x {depth})",
-        ["layout", "live ms (best of 3)", "group rounds", "max batch",
-         "pairwise checks skipped", "shard occupancy"],
-        rows,
-    )
-
-
 def e19() -> None:
     import tempfile
 
@@ -766,7 +706,7 @@ def e19() -> None:
 
     def build(ops):
         wal_dir = tempfile.mkdtemp(prefix="sdl-e19-")
-        space = Dataspace(shards=4)
+        space = Dataspace()
         log = DurableLog(space, wal_dir, interval=interval, keep=4)
         tids = []
         for i in range(ops):
@@ -805,73 +745,6 @@ def e19() -> None:
         rows,
     )
 
-def e20() -> None:
-    from repro.core.expressions import Var
-    from repro.core.patterns import pattern
-
-    a = Var("a")
-    scan_rows = [("reading", i % 50, i % 7, (i * 13) % 50) for i in range(20_000)]
-    batch_rows = [("m", i, i + 1, i * 2, i % 7, i % 13) for i in range(5_000)]
-
-    def build(store):
-        ds = Dataspace(store=store)
-        ds.insert_many(scan_rows)
-        return ds
-
-    spaces = {store: build(store) for store in ("object", "columnar")}
-    rows = []
-    for label, pat in (
-        ("mid probe", pattern("reading", Var("x"), 3, Var("y"))),
-        ("head probe", pattern("reading", 7, Var("x"), Var("y"))),
-        ("repeated var", pattern("reading", a, Var("b"), a)),
-    ):
-        times = {}
-        for store, ds in spaces.items():
-            __, times[store] = min(
-                (timed(ds.count_matching, pat) for __ in range(5)),
-                key=lambda pair: pair[1],
-            )
-        n = spaces["object"].count_matching(pat)
-        assert spaces["columnar"].count_matching(pat) == n
-        rows.append(
-            [
-                label,
-                n,
-                f"{times['object']*1000:.2f}",
-                f"{times['columnar']*1000:.2f}",
-                f"{times['object']/times['columnar']:.1f}x",
-            ]
-        )
-
-    def batch_cycle(store):
-        ds = Dataspace(store=store)
-        for __ in range(4):
-            insts = ds.insert_many(batch_rows)
-            ds.retract_many([i.tid for i in insts[: len(insts) // 2]])
-        return ds
-
-    times = {}
-    for store in ("object", "columnar"):
-        ds, times[store] = min(
-            (timed(batch_cycle, store) for __ in range(3)),
-            key=lambda pair: pair[1],
-        )
-    rows.append(
-        [
-            "batch assert/retract",
-            4 * len(batch_rows),
-            f"{times['object']*1000:.0f}",
-            f"{times['columnar']*1000:.0f}",
-            f"{times['object']/times['columnar']:.1f}x",
-        ]
-    )
-    table(
-        "E20 — columnar storage: hot-arity scans and batched mutation "
-        "(20k rows scan, 4x5k batch cycle, best-of-N)",
-        ["workload", "n", "object ms", "columnar ms", "speedup"],
-        rows,
-    )
-
 
 def main() -> None:
     print("# Experiment report (regenerated)")
@@ -889,9 +762,7 @@ def main() -> None:
     e14()
     e15()
     e16()
-    e17()
     e19()
-    e20()
 
 
 if __name__ == "__main__":

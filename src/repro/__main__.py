@@ -130,8 +130,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         faults=args.faults,
         obs=obs,
         plan=args.plan,
-        shards=args.shards,
-        store=args.store,
         wal_dir=args.wal_dir,
     )
     if args.data:
@@ -213,13 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cross-check group rounds against a serial replay")
     run.add_argument("--plan", choices=["on", "off"], default=None,
                      help="cost-based query planner (default: SDL_PLAN or on)")
-    run.add_argument("--shards", default=None, metavar="SPEC",
-                     help="dataspace storage layout: 'single', an integer N, "
-                          "or 'head:N' (default: SDL_SHARDS or single)")
-    run.add_argument("--store", choices=["object", "columnar"], default=None,
-                     help="per-shard storage backend: per-tuple objects or "
-                          "struct-of-arrays columns (default: SDL_STORE or "
-                          "object)")
     run.add_argument("--faults", default=None, metavar="PLAN",
                      help="fault-injection plan, e.g. "
                           "'seed=7; pre-commit:crash:name=W:at=2' "

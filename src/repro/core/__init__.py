@@ -10,15 +10,6 @@ unit-testable.  The :mod:`repro.runtime` package supplies the interleaving.
 from repro.core.values import Atom, is_value, check_value
 from repro.core.tuples import TupleId, TupleInstance
 from repro.core.dataspace import Dataspace
-from repro.core.storage import (
-    ColumnarStore,
-    HeadPartitioner,
-    Partitioner,
-    SinglePartitioner,
-    TupleStore,
-    resolve_shards,
-    resolve_store,
-)
 from repro.core.expressions import (
     Bindings,
     Const,
@@ -60,13 +51,6 @@ __all__ = [
     "TupleId",
     "TupleInstance",
     "Dataspace",
-    "TupleStore",
-    "ColumnarStore",
-    "Partitioner",
-    "SinglePartitioner",
-    "HeadPartitioner",
-    "resolve_shards",
-    "resolve_store",
     "Bindings",
     "Const",
     "Expr",

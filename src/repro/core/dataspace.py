@@ -10,6 +10,11 @@ Pattern matching asks the dataspace for a *candidate set* via
 :meth:`Dataspace.candidates`; the narrowest applicable index is chosen using
 the constants currently determinable in the pattern.
 
+Every table is a dict of ``TupleInstance`` references keyed by tuple id.
+Admissions only append and dict deletion preserves order, so iteration
+order in every table equals ascending-serial order — which is what makes
+candidate lists, and the seeded arbitration over them, deterministic.
+
 The dataspace also keeps a monotonically increasing **version** (bumped on
 every change event) and supports change listeners; the runtime engine uses
 both to implement delayed-transaction wakeup and the trace journal.  Every
@@ -17,49 +22,24 @@ change event is additionally recorded in a bounded **journal** so consumers
 holding a version watermark (notably :class:`~repro.core.views.Window`) can
 pull the *delta* since their last refresh instead of recomputing from
 scratch — the mechanical basis of the delta-driven reactivity pipeline.
-
-Physically, the dataspace is now a **routing facade** over one or more
-:class:`~repro.core.storage.TupleStore` shards selected by a
-:class:`~repro.core.storage.Partitioner` (``Dataspace(shards=...)``).  The
-facade owns every global invariant, and the default ``single`` layout is
-bit-identical to the historical monolith.  Under ``head`` partitioning the
-observable behavior is *still* identical — the properties that make this
-true, each load-bearing for the differential test suite:
-
-* **global numbering** — serials and versions are assigned by the facade,
-  so instance identity and journal versions are layout-independent;
-* **serial-order merges** — within one store, dict insertion order equals
-  ascending-serial order; cross-shard reads k-way-merge by serial, which
-  reproduces a single store's iteration order exactly;
-* **global bucket selection** — :meth:`candidates` picks the narrowest
-  index bucket by *global* size with the same first-wins tie-break as a
-  single store, so seeded-RNG arbitration over the result is unchanged;
-* **journal merge** — per-shard journals hold sub-changes stamped with the
-  global version; :meth:`changes_since` reassembles them by version (and
-  by serial within a change), under the exact availability window
-  (:data:`JOURNAL_DEPTH` events) the monolith had.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.core.patterns import Pattern
-from repro.core.plan import scan_spec
-from repro.core.storage import (
-    JOURNAL_DEPTH,
-    BaseStore,
-    Partitioner,
-    merge_by_serial,
-    merge_serial_lists,
-    resolve_shards,
-    resolve_store,
-)
 from repro.core.tuples import TupleId, TupleInstance, make_tuple
 from repro.core.values import value_repr
 from repro.errors import SDLError
 
 __all__ = ["Dataspace", "DataspaceChange", "JOURNAL_DEPTH"]
+
+#: How many change events the delta journal retains.  A consumer more than
+#: this many events behind gets ``None`` from :meth:`Dataspace.changes_since`
+#: and must recompute.
+JOURNAL_DEPTH = 512
 
 
 class DataspaceChange:
@@ -129,45 +109,20 @@ class Dataspace:
     through :meth:`insert` / :meth:`retract` so the indexes stay consistent.
     """
 
-    def __init__(
-        self,
-        indexed: bool = True,
-        shards: "str | int | Partitioner | None" = "single",
-        store: "str | None" = None,
-    ) -> None:
+    def __init__(self, indexed: bool = True) -> None:
         """*indexed=False* disables the field index (arity buckets remain),
         degrading candidate selection to arity scans — exists only for the
-        A1 ablation benchmark quantifying what content addressing buys.
-        *shards* selects the physical layout (see
-        :func:`~repro.core.storage.resolve_shards`) and *store* the storage
-        backend within each shard (see
-        :func:`~repro.core.storage.resolve_store`); every layout × backend
-        combination is observably identical, so both are performance/
-        placement knobs only."""
+        A1 ablation benchmark quantifying what content addressing buys."""
         #: Observability hook (``repro.obs.Observability`` or ``None``).
         #: ``None`` keeps :meth:`candidates` on the original path at
         #: original cost; the engine attaches a live instance when
         #: observability is enabled (see ``attach_obs``).
         self._obs = None
         self.indexed = indexed
-        self.partitioner: Partitioner = resolve_shards(shards)
-        #: The storage backend (``"object"`` or ``"columnar"``) shared by
-        #: every shard — layout and backend compose orthogonally.
-        self.store_kind, store_cls = resolve_store(store)
-        self._columnar = self.store_kind == "columnar"
-        self.stores: tuple[BaseStore, ...] = tuple(
-            store_cls(i, indexed) for i in range(self.partitioner.shard_count)
-        )
-        #: Fast path: the sole store under ``single`` layout, else ``None``.
-        self._single: BaseStore | None = (
-            self.stores[0] if len(self.stores) == 1 else None
-        )
-        #: Multi-shard only: tid -> home shard, so retract/get need not
-        #: rehash (and never depend on the partitioner being pure — though
-        #: it is).  ``None`` under the single layout.
-        self._tid_shard: dict[TupleId, int] | None = (
-            None if self._single is not None else {}
-        )
+        self._instances: dict[TupleId, TupleInstance] = {}
+        self._by_arity: dict[int, dict[TupleId, TupleInstance]] = {}
+        self._by_field: dict[tuple[int, int, Any], dict[TupleId, TupleInstance]] = {}
+        self._journal: deque[DataspaceChange] = deque(maxlen=JOURNAL_DEPTH)
         self._serial = 0
         self._version = 0
         #: Listeners keyed by registration token: the same callable may be
@@ -182,46 +137,13 @@ class Dataspace:
         self._listener_snapshot: tuple[Callable[[DataspaceChange], None], ...] | None = ()
 
     # ------------------------------------------------------------------
-    # shard layout
-    # ------------------------------------------------------------------
-    @property
-    def shard_count(self) -> int:
-        return len(self.stores)
-
-    @property
-    def shard_spec(self) -> str:
-        """The normalised layout spec (``"single"`` or ``"head:N"``)."""
-        return self.partitioner.spec
-
-    def shard_sizes(self) -> tuple[int, ...]:
-        """Per-shard occupancy (observability gauges, placement tests)."""
-        return tuple(len(store) for store in self.stores)
-
-    def store_of(self, tid: TupleId) -> BaseStore:
-        """The shard holding *tid* (raises like :meth:`get` when absent)."""
-        if self._single is not None:
-            store = self._single
-        else:
-            shard = self._tid_shard.get(tid)
-            if shard is None:
-                raise SDLError(f"tuple {tid!r} is not in the dataspace")
-            store = self.stores[shard]
-        if tid not in store:
-            raise SDLError(f"tuple {tid!r} is not in the dataspace")
-        return store
-
-    # ------------------------------------------------------------------
     # basic protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        if self._single is not None:
-            return len(self._single)
-        return len(self._tid_shard)
+        return len(self._instances)
 
     def __contains__(self, tid: TupleId) -> bool:
-        if self._single is not None:
-            return tid in self._single
-        return tid in self._tid_shard
+        return tid in self._instances
 
     def __iter__(self) -> Iterator[TupleInstance]:
         return self.instances()
@@ -242,33 +164,26 @@ class Dataspace:
         return self._serial
 
     def get(self, tid: TupleId) -> TupleInstance:
-        if self._single is not None:
-            try:
-                return self._single.lookup(tid)
-            except KeyError:
-                raise SDLError(f"tuple {tid!r} is not in the dataspace") from None
-        shard = self._tid_shard.get(tid)
-        if shard is None:
-            raise SDLError(f"tuple {tid!r} is not in the dataspace")
-        return self.stores[shard].lookup(tid)
+        try:
+            return self._instances[tid]
+        except KeyError:
+            raise SDLError(f"tuple {tid!r} is not in the dataspace") from None
 
     def instances(self) -> Iterator[TupleInstance]:
-        """Iterate over all live instances (global admission order)."""
-        if self._single is not None:
-            return self._single.iter_serial()
-        return iter(merge_serial_lists(store.iter_serial() for store in self.stores))
+        """Iterate over all live instances (admission order)."""
+        return iter(self._instances.values())
 
     def tids(self) -> frozenset[TupleId]:
-        if self._single is not None:
-            return frozenset(self._single.tids())
-        return frozenset(self._tid_shard)
+        return frozenset(self._instances)
 
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
     def insert(self, values: Iterable[Any], owner: int = 0) -> TupleInstance:
         """Assert a tuple built from *values*, owned by process *owner*."""
-        instance = self._admit(tuple(values), owner)
+        self._serial += 1
+        instance = make_tuple(tuple(values), serial=self._serial, owner=owner)
+        self._index(instance)
         self._bump(DataspaceChange.ASSERT, (instance,), ())
         return instance
 
@@ -278,9 +193,7 @@ class Dataspace:
         Each row still gets its own serial (instance identity is per-row),
         but listeners receive a single batched :class:`DataspaceChange` and
         the version is bumped once, so bulk-loading an initial dataspace
-        costs O(1) notifications instead of an O(n) listener storm.  The
-        batch reaches each shard as one ``admit_many`` call, which the
-        columnar backend turns into per-field column extends.
+        costs O(1) notifications instead of an O(n) listener storm.
         """
         instances = []
         for row in rows:
@@ -288,61 +201,46 @@ class Dataspace:
             instances.append(make_tuple(tuple(row), serial=self._serial, owner=owner))
         if not instances:
             return instances
-        if self._single is not None:
-            self._single.admit_many(instances)
-        else:
-            shard_of = self.partitioner.shard_of_values
-            tid_shard = self._tid_shard
-            parts: dict[int, list[TupleInstance]] = {}
-            for instance in instances:
-                shard = shard_of(instance.values)
-                tid_shard[instance.tid] = shard
-                parts.setdefault(shard, []).append(instance)
-            for shard, batch in parts.items():
-                self.stores[shard].admit_many(batch)
-                if self._obs is not None:
-                    self._obs.gauge(
-                        f"sdl_shard_occupancy_{shard}", len(self.stores[shard])
-                    )
+        for instance in instances:
+            self._index(instance)
         kind = DataspaceChange.BATCH if len(instances) > 1 else DataspaceChange.ASSERT
         self._bump(kind, tuple(instances), ())
         return instances
 
-    def _admit(self, values: tuple, owner: int) -> TupleInstance:
-        """Route a new instance to its home shard (no change event)."""
-        self._serial += 1
-        instance = make_tuple(values, serial=self._serial, owner=owner)
-        if self._single is not None:
-            self._single.admit(instance)
-        else:
-            shard = self.partitioner.shard_of_values(instance.values)
-            self._tid_shard[instance.tid] = shard
-            self.stores[shard].admit(instance)
-            if self._obs is not None:
-                self._obs.gauge(
-                    f"sdl_shard_occupancy_{shard}", len(self.stores[shard])
-                )
+    def _index(self, instance: TupleInstance) -> None:
+        """Enter a new instance into every table (no change event)."""
+        tid = instance.tid
+        self._instances[tid] = instance
+        self._by_arity.setdefault(instance.arity, {})[tid] = instance
+        if self.indexed:
+            by_field = self._by_field
+            arity = instance.arity
+            for position, value in enumerate(instance.values):
+                by_field.setdefault((arity, position, value), {})[tid] = instance
+
+    def _unindex(self, tid: TupleId) -> TupleInstance:
+        """Remove and return one instance; raises ``KeyError`` when absent."""
+        instance = self._instances.pop(tid)
+        arity_bucket = self._by_arity[instance.arity]
+        del arity_bucket[tid]
+        if not arity_bucket:
+            del self._by_arity[instance.arity]
+        if self.indexed:
+            by_field = self._by_field
+            for position, value in enumerate(instance.values):
+                key = (instance.arity, position, value)
+                field_bucket = by_field[key]
+                del field_bucket[tid]
+                if not field_bucket:
+                    del by_field[key]
         return instance
 
     def retract(self, tid: TupleId) -> TupleInstance:
         """Retract one instance; other instances with equal values survive."""
-        if self._single is not None:
-            try:
-                instance = self._single.remove(tid)
-            except KeyError:
-                raise SDLError(f"cannot retract {tid!r}: not in the dataspace") from None
-        else:
-            shard = self._tid_shard.pop(tid, None)
-            if shard is None:
-                raise SDLError(f"cannot retract {tid!r}: not in the dataspace")
-            instance = self.stores[shard].remove(tid)
-            if self._obs is not None:
-                # Gauge updated on the retract path too: occupancy must
-                # track live ``len(store)`` at all times, not only after
-                # inserts, or retract-heavy runs leave stale readings.
-                self._obs.gauge(
-                    f"sdl_shard_occupancy_{shard}", len(self.stores[shard])
-                )
+        try:
+            instance = self._unindex(tid)
+        except KeyError:
+            raise SDLError(f"cannot retract {tid!r}: not in the dataspace") from None
         self._bump(DataspaceChange.RETRACT, (), (instance,))
         return instance
 
@@ -350,9 +248,9 @@ class Dataspace:
         """Retract several instances as **one** change event.
 
         The batched dual of :meth:`insert_many`: one version bump, one
-        listener notification, one (per-shard-split) journal entry.  The
-        batch is validated up front — every tid present, no duplicates —
-        so a bad batch mutates nothing.
+        listener notification, one journal entry.  The batch is validated
+        up front — every tid present, no duplicates — so a bad batch
+        mutates nothing.
         """
         tids = list(tids)
         if not tids:
@@ -360,23 +258,9 @@ class Dataspace:
         if len(set(tids)) != len(tids):
             raise SDLError("cannot retract batch: duplicate tuple ids")
         for tid in tids:
-            if tid not in self:
+            if tid not in self._instances:
                 raise SDLError(f"cannot retract {tid!r}: not in the dataspace")
-        instances: list[TupleInstance] = []
-        if self._single is not None:
-            for tid in tids:
-                instances.append(self._single.remove(tid))
-        else:
-            touched: set[int] = set()
-            for tid in tids:
-                shard = self._tid_shard.pop(tid)
-                instances.append(self.stores[shard].remove(tid))
-                touched.add(shard)
-            if self._obs is not None:
-                for shard in touched:
-                    self._obs.gauge(
-                        f"sdl_shard_occupancy_{shard}", len(self.stores[shard])
-                    )
+        instances = [self._unindex(tid) for tid in tids]
         kind = DataspaceChange.BATCH if len(instances) > 1 else DataspaceChange.RETRACT
         self._bump(kind, (), tuple(instances))
         return instances
@@ -389,107 +273,29 @@ class Dataspace:
     ) -> None:
         self._version += 1
         change = DataspaceChange(kind, asserted, retracted, self._version)
-        if self._single is not None:
-            self._single.record(change)
-        else:
-            self._journal_split(change)
+        self._journal.append(change)
         listeners = self._listener_snapshot
         if listeners is None:
             listeners = self._listener_snapshot = tuple(self._listeners.values())
         for listener in listeners:
             listener(change)
 
-    def _journal_split(self, change: DataspaceChange) -> None:
-        """File *change* in the journal of every shard it touched.
-
-        A change confined to one shard is filed as-is; one spanning shards
-        (an ``insert_many`` batch) is split into per-shard sub-changes all
-        stamped with the same global version, so :meth:`changes_since` can
-        reassemble the original event exactly.
-        """
-        shard_of = self.partitioner.shard_of_values
-        asserted = change.asserted
-        retracted = change.retracted
-        if len(asserted) + len(retracted) == 1:
-            # Single-instance change — the overwhelmingly common case
-            # (every insert/retract): file as-is, no grouping pass.
-            inst = asserted[0] if asserted else retracted[0]
-            self.stores[shard_of(inst.values)].record(change)
-            return
-        parts: dict[int, tuple[list, list]] = {}
-        for inst in change.asserted:
-            parts.setdefault(shard_of(inst.values), ([], []))[0].append(inst)
-        for inst in change.retracted:
-            parts.setdefault(shard_of(inst.values), ([], []))[1].append(inst)
-        if len(parts) == 1:
-            (shard,) = parts
-            self.stores[shard].record(change)
-            return
-        for shard, (asserted, retracted) in parts.items():
-            self.stores[shard].record(
-                DataspaceChange(
-                    change.kind, tuple(asserted), tuple(retracted), change.version
-                )
-            )
-
     def changes_since(self, version: int) -> list[DataspaceChange] | None:
         """The change events after *version*, oldest first.
 
         Returns ``None`` when the journal no longer reaches back to
         *version* (the consumer fell more than :data:`JOURNAL_DEPTH` events
-        behind) — the caller must then recompute from scratch.  Under a
-        sharded layout the per-shard journals are merged by global version
-        (the merged WAL), with sub-changes of one version recombined in
-        ascending-serial order; the availability window is identical to a
-        single store's.
+        behind) — the caller must then recompute from scratch.
         """
         if version >= self._version:
             return []
-        if self._single is not None:
-            journal = self._single.journal
-            if not journal or journal[0].version > version + 1:
-                return None
-            # Versions advance by exactly 1 per journal entry, so the slice
-            # starts at a computable offset rather than a scan.
-            start = len(journal) - (self._version - version)
-            return [journal[i] for i in range(start, len(journal))]
-        expected = self._version - version
-        if expected > JOURNAL_DEPTH:
+        journal = self._journal
+        if not journal or journal[0].version > version + 1:
             return None
-        by_version: dict[int, list[DataspaceChange]] = {}
-        for store in self.stores:
-            if store.evicted_version > version:
-                # This shard dropped an entry *inside* the requested
-                # window: whatever the siblings still hold would be a
-                # partial delta, and replaying it would corrupt the
-                # consumer.  Full-rescan signal instead.
-                return None
-            for entry in reversed(store.journal):
-                if entry.version <= version:
-                    break
-                by_version.setdefault(entry.version, []).append(entry)
-        if len(by_version) != expected:
-            return None  # a shard journal evicted part of the window
-        out: list[DataspaceChange] = []
-        for v in sorted(by_version):
-            entries = by_version[v]
-            if len(entries) == 1:
-                out.append(entries[0])
-                continue
-            asserted = tuple(
-                sorted(
-                    (inst for entry in entries for inst in entry.asserted),
-                    key=lambda inst: inst.tid.serial,
-                )
-            )
-            retracted = tuple(
-                sorted(
-                    (inst for entry in entries for inst in entry.retracted),
-                    key=lambda inst: inst.tid.serial,
-                )
-            )
-            out.append(DataspaceChange(entries[0].kind, asserted, retracted, v))
-        return out
+        # Versions advance by exactly 1 per journal entry, so the slice
+        # starts at a computable offset rather than a scan.
+        start = len(journal) - (self._version - version)
+        return [journal[i] for i in range(start, len(journal))]
 
     @property
     def listener_count(self) -> int:
@@ -518,58 +324,20 @@ class Dataspace:
     # content addressing
     # ------------------------------------------------------------------
     def by_arity(self, arity: int) -> Mapping[TupleId, TupleInstance]:
-        """All instances with the given arity (live view; do not mutate).
-
-        Sharded layouts return a *fresh* serial-ordered merge instead of a
-        live view; prefer :meth:`arity_size` when only the count matters.
-        """
-        if self._single is not None:
-            return self._single.arity_bucket(arity)
-        buckets = [b for b in (s.arity_bucket(arity) for s in self.stores) if b]
-        if not buckets:
-            return {}
-        if len(buckets) == 1:
-            return buckets[0]
-        return {inst.tid: inst for inst in merge_by_serial(buckets)}
+        """All instances with the given arity (live view; do not mutate)."""
+        return self._by_arity.get(arity, {})
 
     def by_field(self, arity: int, position: int, value: Any) -> Mapping[TupleId, TupleInstance]:
-        """All instances of *arity* with *value* at *position* (live view).
-
-        Same sharded-layout caveat as :meth:`by_arity`; a position-0 key
-        lives entirely in its home shard, so that case stays a live view.
-        """
-        if self._single is not None:
-            return self._single.field_bucket(arity, position, value)
-        if position == 0 and self.indexed:
-            home = self.stores[self.partitioner.shard_of(arity, value)]
-            return home.field_bucket(arity, position, value)
-        buckets = [
-            b
-            for b in (s.field_bucket(arity, position, value) for s in self.stores)
-            if b
-        ]
-        if not buckets:
-            return {}
-        if len(buckets) == 1:
-            return buckets[0]
-        return {inst.tid: inst for inst in merge_by_serial(buckets)}
+        """All instances of *arity* with *value* at *position* (live view)."""
+        return self._by_field.get((arity, position, value), {})
 
     def arity_size(self, arity: int) -> int:
-        """Global size of one arity bucket without materialising a merge."""
-        if self._single is not None:
-            return self._single.arity_size(arity)
-        return sum(store.arity_size(arity) for store in self.stores)
+        """Size of one arity bucket."""
+        return len(self._by_arity.get(arity, ()))
 
     def field_size(self, arity: int, position: int, value: Any) -> int:
-        """Global size of one field bucket without materialising a merge."""
-        if self._single is not None:
-            return self._single.field_size(arity, position, value)
-        if position == 0 and self.indexed:
-            home = self.stores[self.partitioner.shard_of(arity, value)]
-            return home.field_size(arity, position, value)
-        return sum(
-            store.field_size(arity, position, value) for store in self.stores
-        )
+        """Size of one field bucket."""
+        return len(self._by_field.get((arity, position, value), ()))
 
     def candidates(
         self,
@@ -579,24 +347,15 @@ class Dataspace:
         """Instances that could match *pat* under the bindings *bound*.
 
         The narrowest single-field index determinable from the pattern's
-        constants is consulted; the result is a snapshot list so the caller
-        may mutate the dataspace while iterating.  Candidates are *not*
-        guaranteed to match — callers must still run :meth:`Pattern.match`.
-
-        Layout-independence: bucket choice uses *global* bucket sizes with
-        the single store's first-wins tie-break, and cross-shard buckets
-        are merged in serial order — so the returned list (contents *and*
-        order, which feeds the seeded arbitration RNG) is identical under
-        every shard layout.
+        constants is consulted (the first of equally narrow buckets wins);
+        the result is a snapshot list in ascending-serial order, so the
+        caller may mutate the dataspace while iterating.  Candidates are
+        *not* guaranteed to match — callers must still run
+        :meth:`Pattern.match`.
         """
         obs = self._obs
         start = obs.spans.now() if obs is not None else 0
-        bound = bound or {}
-        single = self._single
-        if single is not None:
-            out = single.candidates(pat, bound)
-        else:
-            out = self._candidates_sharded(pat, bound, obs)
+        out = self._candidates(pat, bound or {})
         if obs is not None:
             obs.observe_ns(
                 "match",
@@ -606,44 +365,19 @@ class Dataspace:
             )
         return out
 
-    def _candidates_sharded(
-        self, pat: Pattern, bound: Mapping[str, Any], obs
-    ) -> list[TupleInstance]:
-        """:meth:`candidates` over a partitioned layout (global bucket sizes)."""
-        arity = pat.arity
-        best_probe: tuple[int, Any] | None = None
-        best_size = -1
-        best_shard = -1
+    def _candidates(self, pat: Pattern, bound: Mapping[str, Any]) -> list[TupleInstance]:
+        best: dict[TupleId, TupleInstance] | None = None
         if self.indexed:
+            by_field = self._by_field
             for position, value in pat.index_constants(bound):
-                if position == 0:
-                    shard = self.partitioner.shard_of(arity, value)
-                    size = self.stores[shard].field_size(arity, position, value)
-                else:
-                    shard = -1
-                    size = sum(
-                        s.field_size(arity, position, value) for s in self.stores
-                    )
-                if size == 0:
-                    return []  # absent bucket: same short-circuit as one store
-                if best_probe is None or size < best_size:
-                    best_probe, best_size, best_shard = (position, value), size, shard
-        if best_probe is None:
-            if obs is not None:
-                obs.count("sdl_shard_queries_total", route="cross")
-            return merge_serial_lists(
-                s.arity_candidates(arity) for s in self.stores
-            )
-        position, value = best_probe
-        if best_shard >= 0:
-            if obs is not None:
-                obs.count("sdl_shard_queries_total", route="local")
-            return self.stores[best_shard].field_candidates(arity, position, value)
-        if obs is not None:
-            obs.count("sdl_shard_queries_total", route="cross")
-        return merge_serial_lists(
-            s.field_candidates(arity, position, value) for s in self.stores
-        )
+                bucket = by_field.get((pat.arity, position, value))
+                if bucket is None:
+                    return []
+                if best is None or len(bucket) < len(best):
+                    best = bucket
+            if best is not None:
+                return list(best.values())
+        return list(self._by_arity.get(pat.arity, {}).values())
 
     def candidates_probed(
         self,
@@ -654,40 +388,17 @@ class Dataspace:
 
         The planner's candidate fetch: the narrowest applicable field bucket
         is enumerated and every remaining probe is applied as a direct value
-        filter, so the result is the **intersection** of all probe buckets —
-        unlike :meth:`candidates`, which consults only the single narrowest
-        bucket and leaves the rest to per-candidate pattern matching.  An
-        empty probe bucket short-circuits to ``[]``.  Probes must name
-        distinct positions (true of any single pattern's fields).
-
-        A probe pinning position 0 confines the whole query to the home
-        shard of ``(arity, value)`` — the routed fast path; otherwise the
-        per-shard intersections are merged by serial.  Either way the
-        output is the full intersection in ascending-serial order, which a
-        single store produces too, so layouts are indistinguishable.
+        filter, so the result is the **intersection** of all probe buckets,
+        in ascending-serial order — unlike :meth:`candidates`, which
+        consults only the single narrowest bucket and leaves the rest to
+        per-candidate pattern matching.  An empty probe bucket
+        short-circuits to ``[]``.  Probes must name distinct positions
+        (true of any single pattern's fields).
         """
         obs = self._obs
         start = obs.spans.now() if obs is not None else 0
         probes = list(probes)
-        single = self._single
-        if single is not None:
-            out = single.candidates_probed(arity, probes)
-        else:
-            home = -1
-            for position, value in probes:
-                if position == 0:
-                    home = self.partitioner.shard_of(arity, value)
-                    break
-            if home >= 0:
-                if obs is not None:
-                    obs.count("sdl_shard_queries_total", route="local")
-                out = self.stores[home].candidates_probed(arity, probes)
-            else:
-                if obs is not None:
-                    obs.count("sdl_shard_queries_total", route="cross")
-                out = merge_serial_lists(
-                    s.candidates_probed(arity, probes) for s in self.stores
-                )
+        out = self._probed(arity, probes)
         if obs is not None:
             obs.observe_ns(
                 "match",
@@ -696,6 +407,31 @@ class Dataspace:
                 {"arity": arity, "n": len(out), "probes": len(probes)},
             )
         return out
+
+    def _probed(self, arity: int, probes: list[tuple[int, Any]]) -> list[TupleInstance]:
+        best: dict[TupleId, TupleInstance] | None = None
+        best_position = -1
+        if self.indexed and probes:
+            by_field = self._by_field
+            for position, value in probes:
+                bucket = by_field.get((arity, position, value))
+                if bucket is None:
+                    return []
+                if best is None or len(bucket) < len(best):
+                    best = bucket
+                    best_position = position
+        if best is None:
+            best = self._by_arity.get(arity, {})
+            rest = probes if not self.indexed else []
+        else:
+            rest = [probe for probe in probes if probe[0] != best_position]
+        if rest:
+            return [
+                inst
+                for inst in best.values()
+                if all(inst.values[position] == value for position, value in rest)
+            ]
+        return list(best.values())
 
     def attach_obs(self, obs) -> None:
         """Attach an observability hook timing every :meth:`candidates` call."""
@@ -710,17 +446,8 @@ class Dataspace:
         must never leak bindings from one candidate into the next.  When
         the pattern has no unbound binding variables the mapping cannot be
         written at all, so one shared copy serves every candidate.
-
-        Under the columnar backend, a pattern reducible to pure column
-        probes (:func:`~repro.core.plan.scan_spec`) is counted by the
-        column-scan kernel instead of per-candidate matching; the count is
-        identical by the kernel-equivalence argument documented there.
         """
         bound = dict(bound or {})
-        if self._columnar:
-            spec = scan_spec(pat, bound)
-            if spec is not None:
-                return self._scan_count(pat.arity, spec)
         if _cannot_bind(pat, bound):
             return sum(
                 1
@@ -741,15 +468,9 @@ class Dataspace:
         """All instances matching *pat* under *bound* (snapshot list).
 
         Per-candidate binding isolation as in :meth:`count_matching`, with
-        the same shared-copy fast path for patterns that cannot bind and
-        the same columnar column-scan kernel (result contents *and* serial
-        order are identical to the filtered candidate walk).
+        the same shared-copy fast path for patterns that cannot bind.
         """
         bound = dict(bound or {})
-        if self._columnar:
-            spec = scan_spec(pat, bound)
-            if spec is not None:
-                return self._scan_find(pat.arity, spec)
         if _cannot_bind(pat, bound):
             return [
                 inst
@@ -762,110 +483,22 @@ class Dataspace:
             if pat.match(inst.values, dict(bound)) is not None
         ]
 
-    def _scan_count(
-        self, arity: int, spec: tuple[list[tuple[int, Any]], list[tuple[int, int]]]
-    ) -> int:
-        """Columnar kernel: count rows passing the probes + repeats."""
-        obs = self._obs
-        start = obs.spans.now() if obs is not None else 0
-        probes, repeats = spec
-        single = self._single
-        if single is not None:
-            out = single.scan_count(arity, probes, repeats)
-        else:
-            home = self._scan_home(arity, probes)
-            if home >= 0:
-                out = self.stores[home].scan_count(arity, probes, repeats)
-            else:
-                out = sum(
-                    store.scan_count(arity, probes, repeats)
-                    for store in self.stores
-                )
-        if obs is not None:
-            obs.observe_ns(
-                "match", start, obs.spans.now() - start, {"arity": arity, "n": out}
-            )
-        return out
-
-    def _scan_find(
-        self, arity: int, spec: tuple[list[tuple[int, Any]], list[tuple[int, int]]]
-    ) -> list[TupleInstance]:
-        """Columnar kernel: the rows passing the probes + repeats, by serial."""
-        obs = self._obs
-        start = obs.spans.now() if obs is not None else 0
-        probes, repeats = spec
-        single = self._single
-        if single is not None:
-            out = single.scan(arity, probes, repeats)
-        else:
-            home = self._scan_home(arity, probes)
-            if home >= 0:
-                out = self.stores[home].scan(arity, probes, repeats)
-            else:
-                out = merge_serial_lists(
-                    store.scan(arity, probes, repeats) for store in self.stores
-                )
-        if obs is not None:
-            obs.observe_ns(
-                "match",
-                start,
-                obs.spans.now() - start,
-                {"arity": arity, "n": len(out)},
-            )
-        return out
-
-    def _scan_home(self, arity: int, probes: list[tuple[int, Any]]) -> int:
-        """Home shard of a scan pinning position 0, else -1 (all shards).
-
-        Routing is a pure function of ``(arity, values[0])``, so a
-        position-0 probe confines matches to one shard whether or not the
-        field index exists — same confinement :meth:`candidates_probed`
-        uses.
-        """
-        for position, value in probes:
-            if position == 0:
-                return self.partitioner.shard_of(arity, value)
-        return -1
-
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
     def snapshot(self) -> list[tuple]:
         """The current multiset of value tuples, sorted for stable comparison."""
         return sorted(
-            (inst.values for inst in self.instances()),
+            (inst.values for inst in self._instances.values()),
             key=_sort_key,
         )
 
     def multiset(self) -> dict[tuple, int]:
         """Value tuples with multiplicities — handy in tests."""
         counts: dict[tuple, int] = {}
-        for store in self.stores:
-            for inst in store.iter_serial():
-                counts[inst.values] = counts.get(inst.values, 0) + 1
+        for inst in self._instances.values():
+            counts[inst.values] = counts.get(inst.values, 0) + 1
         return counts
-
-    # Back-compat debug views of the merged index tables (a structural
-    # property test asserts both drain to empty after a full retract).
-    @property
-    def _by_arity(self) -> dict[int, dict[TupleId, TupleInstance]]:
-        if self._single is not None:
-            return self._single.debug_by_arity()
-        merged: dict[int, dict[TupleId, TupleInstance]] = {}
-        for store in self.stores:
-            for arity, bucket in store.debug_by_arity().items():
-                merged.setdefault(arity, {}).update(bucket)
-        return merged
-
-    @property
-    def _by_field(self) -> dict[tuple[int, int, Any], dict[TupleId, TupleInstance]]:
-        if self._single is not None:
-            return self._single.debug_by_field()
-        merged: dict[tuple[int, int, Any], dict[TupleId, TupleInstance]] = {}
-        for store in self.stores:
-            for key, bucket in store.debug_by_field().items():
-                merged.setdefault(key, {}).update(bucket)
-        return merged
 
     def __repr__(self) -> str:
         if len(self) <= 8:

@@ -14,12 +14,12 @@ removes all three costs while preserving the semantics exactly:
 
 * a :class:`Plan` **reorders the binding atoms by estimated selectivity**:
   estimates read the dataspace's live index-bucket sizes
-  (``field_size`` / ``arity_size`` fan-out, shard-aware: per-shard sizes
-  summed, position-0 probes read only their home shard), preferring atoms
-  whose constants or already-bound variables probe the narrowest buckets.  Atoms whose literal expressions
-  reference variables bound by other atoms are only eligible after their
-  producers, so reordering never changes which expressions are evaluable —
-  the one hard ordering constraint the naive walk imposes;
+  (``field_size`` / ``arity_size``), preferring atoms whose constants or
+  already-bound variables probe the narrowest buckets.  Atoms whose
+  literal expressions reference variables bound by other atoms are only
+  eligible after their producers, so reordering never changes which
+  expressions are evaluable — the one hard ordering constraint the naive
+  walk imposes;
 
 * candidate fetches intersect **all** applicable field buckets (narrowest
   bucket enumerated, remaining probes applied as direct value filters)
@@ -61,7 +61,6 @@ __all__ = [
     "QueryPlanner",
     "compile_pattern",
     "resolve_plan_mode",
-    "scan_spec",
 ]
 
 #: Estimated candidate count for a probe whose value is only known at run
@@ -145,51 +144,6 @@ def compile_pattern(pattern: Pattern) -> CompiledPattern:
         compiled = CompiledPattern(pattern)
         pattern._compiled = compiled
     return compiled
-
-
-def scan_spec(
-    pattern: Pattern, bound: Mapping[str, Any]
-) -> "tuple[list[tuple[int, Any]], list[tuple[int, int]]] | None":
-    """Reduce matching *pattern* under *bound* to a pure column scan.
-
-    Returns ``(probes, repeats)`` such that ``pattern.match(values,
-    dict(bound)) is not None`` iff every ``(position, value)`` probe holds
-    and every ``(position, first_position)`` repeated-variable pair is
-    equal — the contract of ``ColumnarStore.scan`` / ``scan_count``, which
-    lets ``count_matching`` / ``find_matching`` run over contiguous columns
-    instead of calling ``Pattern.match`` per candidate.  The reduction is
-    complete because an element matches by equality (literal value, bound
-    variable, repeated variable) or unconditionally (wildcard, first
-    occurrence of an unbound variable — a binder always succeeds, and
-    these callers discard the bindings).
-
-    Returns ``None`` — caller falls back to per-candidate matching — when
-    any literal expression references a variable this same pattern binds
-    (its value is per-candidate) or is not evaluable under *bound* alone:
-    the naive walk's behavior there (including *raising only when a
-    candidate exists*) is reproduced exactly by not scanning at all.
-    """
-    compiled = compile_pattern(pattern)
-    probes: list[tuple[int, Any]] = list(compiled.static_probes)
-    repeats: list[tuple[int, int]] = []
-    first_seen: dict[str, int] = {}
-    for position, name in compiled.var_slots:
-        if name in bound:
-            probes.append((position, bound[name]))
-        elif name in first_seen:
-            repeats.append((position, first_seen[name]))
-        else:
-            first_seen[name] = position
-    for position, expr, free in compiled.expr_slots:
-        if free & first_seen.keys():
-            return None  # reads a same-pattern binder: value is per-candidate
-        if not free <= bound.keys():
-            return None  # unbound free variable: let the naive walk raise
-        try:
-            probes.append((position, _eval_expr(expr, bound)))
-        except Exception:
-            return None  # evaluation fails: fall back, raise per-candidate
-    return probes, repeats
 
 
 class PlanStep:
@@ -291,11 +245,7 @@ def _estimate(
     (name bound, value unknown at plan time) are credited a square-root
     fan-out of the arity bucket; a probe-less atom scans its arity bucket.
 
-    Sizes come from ``Dataspace.arity_size`` / ``Dataspace.field_size``
-    rather than materialised buckets: under a sharded layout those sum
-    per-shard bucket sizes in O(shards) — and read only the home shard for
-    a position-0 probe — where ``by_field``/``by_arity`` would build a
-    merged dict per estimate.
+    Sizes come from ``Dataspace.arity_size`` / ``Dataspace.field_size``.
     """
     arity_size = dataspace.arity_size(compiled.arity)
     if arity_size == 0:

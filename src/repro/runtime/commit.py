@@ -106,32 +106,9 @@ class WriteRecord:
 
 
 class Footprint:
-    """The read/write footprint of one evaluated round candidate.
+    """The read/write footprint of one evaluated round candidate."""
 
-    Under a sharded dataspace the footprint additionally carries its
-    *shard-sets*, one per conflict rule:
-
-    * ``read_shards`` — the shards this candidate's watchers observe, or
-      ``None`` when unbounded (reads-all, or a watcher without a
-      position-0 constant);
-    * ``write_shards`` — the shards its writes (retractions plus predicted
-      asserts) land in, or ``None`` when some assert's head is unknown;
-    * ``retract_shards`` — the shards its retracted instances live in
-      (always exact: retractions know every field).
-
-    Candidate *L* can conflict with admitted *E* only through **r-w**
-    (``L.read_shards`` meets ``E.write_shards``) or **w-w**
-    (``L.retract_shards`` meets ``E.retract_shards``) — assert/assert
-    overlap is no conflict, so a shared assert sink (every worker logging
-    to one community) does not defeat the test.  Group admission checks
-    both intersections against the admitted batch's unions in O(1) before
-    falling back to pairwise key checks.
-    """
-
-    __slots__ = (
-        "pid", "reads_all", "watchers", "retract_tids", "writes",
-        "read_shards", "write_shards", "retract_shards",
-    )
+    __slots__ = ("pid", "reads_all", "watchers", "retract_tids", "writes")
 
     def __init__(
         self,
@@ -140,27 +117,18 @@ class Footprint:
         watchers: Sequence[AtomWatcher],
         retract_tids: frozenset[TupleId],
         writes: Sequence[WriteRecord],
-        read_shards: frozenset[int] | None = None,
-        write_shards: frozenset[int] | None = None,
-        retract_shards: frozenset[int] = frozenset(),
     ) -> None:
         self.pid = pid
         self.reads_all = reads_all
         self.watchers = tuple(watchers)
         self.retract_tids = retract_tids
         self.writes = tuple(writes)
-        self.read_shards = read_shards
-        self.write_shards = write_shards
-        self.retract_shards = retract_shards
 
     def __repr__(self) -> str:
         reads = "ANY" if self.reads_all else f"{len(self.watchers)} watchers"
-        r = "?" if self.read_shards is None else sorted(self.read_shards)
-        w = "?" if self.write_shards is None else sorted(self.write_shards)
         return (
             f"footprint(pid={self.pid}, reads={reads}, "
-            f"retracts={len(self.retract_tids)}, writes={len(self.writes)}, "
-            f"shards=r{r}/w{w})"
+            f"retracts={len(self.retract_tids)}, writes={len(self.writes)})"
         )
 
 
@@ -169,7 +137,6 @@ def footprint_for(
     result: QueryResult | None,
     process: "ProcessInstance",
     scope: dict[str, Any],
-    partitioner=None,
 ) -> Footprint:
     """Record the footprint of *txn* evaluated (as *result*) for *process*.
 
@@ -177,76 +144,17 @@ def footprint_for(
     footprint then carries reads only, so the *failure verdict* still
     participates in conflict detection (a query that failed against the
     snapshot may succeed after an earlier admitted write).
-
-    *partitioner* (a multi-shard ``repro.core.storage.Partitioner``, or
-    ``None``) additionally labels the footprint with its shard-sets for
-    the O(1) batch-disjointness fast path; it never changes which
-    conflicts :func:`conflicts` reports.
     """
     reads_all, watchers = _read_side(txn, process, scope)
     if result is None or not result.success:
-        if partitioner is None or partitioner.shard_count <= 1:
-            return Footprint(process.pid, reads_all, watchers, frozenset(), ())
-        return Footprint(
-            process.pid, reads_all, watchers, frozenset(), (),
-            read_shards=_read_shards(partitioner, reads_all, watchers),
-            write_shards=frozenset(),
-        )
+        return Footprint(process.pid, reads_all, watchers, frozenset(), ())
     retracted = result.all_retracted()
     retract_tids = frozenset(inst.tid for inst in retracted)
     writes: list[WriteRecord] = [
         WriteRecord(inst.arity, dict(enumerate(inst.values))) for inst in retracted
     ]
     writes.extend(_assert_intents(txn, result, scope))
-    if partitioner is None or partitioner.shard_count <= 1:
-        return Footprint(process.pid, reads_all, watchers, retract_tids, writes)
-    retract_shards = frozenset(
-        partitioner.shard_of_values(inst.values) for inst in retracted
-    )
-    return Footprint(
-        process.pid, reads_all, watchers, retract_tids, writes,
-        read_shards=_read_shards(partitioner, reads_all, watchers),
-        write_shards=_write_shards(partitioner, writes),
-        retract_shards=retract_shards,
-    )
-
-
-def _read_shards(
-    partitioner, reads_all: bool, watchers: Sequence[AtomWatcher]
-) -> frozenset[int] | None:
-    """The shards a footprint's reads provably stay inside, or ``None``.
-
-    Routing rests on the partitioner invariant that a tuple's home shard
-    is a pure function of ``(arity, field 0)``: a watcher pinning position
-    0 only observes populations of that one shard.  Anything less
-    determinate makes the read side unbounded — which only disables the
-    fast path, never admission soundness.
-    """
-    if reads_all:
-        return None
-    shards: set[int] = set()
-    for watcher in watchers:
-        head = next((v for p, v in watcher.probes if p == 0), UNKNOWN)
-        if head is UNKNOWN:
-            return None
-        shards.add(partitioner.shard_of(watcher.arity, head))
-    return frozenset(shards)
-
-
-def _write_shards(
-    partitioner, writes: Sequence[WriteRecord]
-) -> frozenset[int] | None:
-    """The shards a footprint's writes provably land in, or ``None``.
-
-    Retraction records always know every position; a predicted assert
-    whose head is unresolved makes the write side unbounded.
-    """
-    shards: set[int] = set()
-    for write in writes:
-        if 0 not in write.known:
-            return None
-        shards.add(partitioner.shard_of(write.arity, write.known[0]))
-    return frozenset(shards)
+    return Footprint(process.pid, reads_all, watchers, retract_tids, writes)
 
 
 def _read_side(

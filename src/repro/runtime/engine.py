@@ -99,8 +99,6 @@ class RunResult:
     # lookups that reused a compiled plan vs. built one.
     plan_hits: int = 0
     plan_misses: int = 0
-    # Storage backend the run used (``"object"`` or ``"columnar"``).
-    store: str = "object"
     # Observability snapshot: the metrics registry dump of the run
     # (``repro.obs``) when the engine ran with observability enabled,
     # ``{}`` otherwise.  Keys are metric names; per-site latency
@@ -167,8 +165,6 @@ class Engine:
         checkpoint_interval: int | None = None,
         obs: "Observability | bool | str | None" = None,
         plan: "str | bool | None" = None,
-        shards: "str | int | None" = None,
-        store: "str | None" = None,
         wal_dir: "str | None" = None,
     ) -> None:
         if policy not in ("random", "fifo"):
@@ -197,36 +193,7 @@ class Engine:
             raise EngineError(f"unknown commit mode {commit!r}")
         if validate not in (None, "serial"):
             raise EngineError(f"unknown validate mode {validate!r}")
-        # Storage sharding (``repro.core.storage``): partition the dataspace
-        # into N head-routed stores (``shards="head:4"`` / ``shards=4``) or
-        # keep the single-store layout (``"single"``, the default; env
-        # SDL_SHARDS supplies a suite-wide default).  Orthogonally,
-        # ``store="columnar"`` (env SDL_STORE) swaps each shard's backend
-        # for the struct-of-arrays layout; ``"object"`` — the default —
-        # keeps the per-tuple-object baseline.  An explicitly supplied
-        # dataspace already fixed its own layout and backend, so combining
-        # it with either knob is an error rather than a silent override.
-        if dataspace is not None:
-            if shards is not None:
-                raise EngineError(
-                    "cannot pass both dataspace= and shards=; construct the "
-                    "dataspace with Dataspace(shards=...) instead"
-                )
-            if store is not None:
-                raise EngineError(
-                    "cannot pass both dataspace= and store=; construct the "
-                    "dataspace with Dataspace(store=...) instead"
-                )
-            self.dataspace = dataspace
-        else:
-            if shards is None:
-                shards = os.environ.get("SDL_SHARDS") or "single"
-            if store is None:
-                store = os.environ.get("SDL_STORE") or None
-            try:
-                self.dataspace = Dataspace(shards=shards, store=store)
-            except ValueError as exc:
-                raise EngineError(str(exc)) from None
+        self.dataspace = dataspace if dataspace is not None else Dataspace()
         self.society = ProcessSociety(definitions)
         self.rng = random.Random(seed)
         self.trace = trace if trace is not None else Trace()
@@ -273,9 +240,7 @@ class Engine:
         self.scheduler = Scheduler(self.rng, policy)
         if commit == "serial":
             self.scheduler.round_size = 1
-        self.wakeups = WakeupIndex(
-            obs=self.obs, partitioner=self.dataspace.partitioner
-        )
+        self.wakeups = WakeupIndex(obs=self.obs)
         self.executor = Executor(self)
         self.tasks: dict[int, Task] = {}
         self._windows: dict[int, Window] = {}
@@ -440,10 +405,6 @@ class Engine:
         if self.obs is not None:
             o = self.obs
             o.gauge("sdl_dataspace_size", len(self.dataspace))
-            if self.dataspace.shard_count > 1:
-                o.gauge("sdl_shard_count", self.dataspace.shard_count)
-                for store in self.dataspace.stores:
-                    o.gauge(f"sdl_shard_occupancy_{store.shard}", len(store))
             o.gauge("sdl_rounds_total", self.scheduler.round_count)
             o.gauge("sdl_steps_total", self.step_count)
             o.gauge("sdl_commits_total", counters.commits)
@@ -456,16 +417,6 @@ class Engine:
             if isinstance(self.recovery, DurableLog):
                 o.gauge("sdl_wal_frames", self.recovery.wal_frames)
                 o.gauge("sdl_wal_bytes", self.recovery.wal_bytes)
-            if self.dataspace.store_kind == "columnar":
-                # Columnar layout health: total rows vs tombstones, how
-                # many columns earned array('q') promotion, lazy indexes
-                # built, and compaction churn — summed across shards.
-                totals: dict[str, int] = {}
-                for store in self.dataspace.stores:
-                    for key, value in store.stats().items():
-                        totals[key] = totals.get(key, 0) + value
-                for key, value in totals.items():
-                    o.gauge(f"sdl_columnar_{key}", value)
             metrics = o.snapshot()
         durable = self.recovery if isinstance(self.recovery, DurableLog) else None
         return RunResult(
@@ -503,7 +454,6 @@ class Engine:
             wal_segments=durable.segments_written if durable is not None else 0,
             plan_hits=planner.hits if planner is not None else 0,
             plan_misses=planner.misses if planner is not None else 0,
-            store=self.dataspace.store_kind,
             metrics=metrics,
         )
 

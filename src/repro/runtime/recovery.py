@@ -20,16 +20,6 @@ Checkpoints are cheap snapshots, not copies: tuple instances are frozen,
 so capturing them is one tuple build over the live table.  The cost knob
 is ``interval`` — benchmark E14 measures rounds-to-recover against it.
 
-Under a sharded dataspace (``shards`` > 1) the checkpoint is captured
-*shard-major*: one contiguous run of instances per store, with
-``shard_counts`` recording the chunk boundaries, so a store can be
-reloaded without re-partitioning.  The journal stays a single **merged
-WAL**: ``changes_since`` recombines per-store journal entries by global
-version (and serial order within a version), so replay is one linear walk
-regardless of the shard count, and the scratch dataspace — built with the
-live partitioner's spec — re-routes every replayed tuple to the shard it
-came from (routing is a pure function of the tuple's value).
-
 :class:`DurableLog` extends the model below process memory: checkpoints
 and the WAL are additionally persisted to a directory of **segment
 files** — length-prefixed, CRC32-checksummed frames behind an 8-byte
@@ -70,25 +60,17 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class Checkpoint:
-    """A consistent snapshot: every live instance as of *version*.
-
-    ``shard_counts`` is ``None`` for a single-store dataspace; for a
-    sharded one it holds the per-store instance counts, and ``instances``
-    is laid out shard-major (store 0's chunk, then store 1's, ...) so each
-    chunk reloads into its store without re-partitioning.
-    """
+    """A consistent snapshot: every live instance as of *version*."""
 
     version: int
     instances: tuple[TupleInstance, ...]
-    shard_counts: tuple[int, ...] | None = None
 
     @property
     def size(self) -> int:
         return len(self.instances)
 
     def __repr__(self) -> str:
-        shards = "" if self.shard_counts is None else f", shards={self.shard_counts}"
-        return f"Checkpoint(v={self.version}, |D|={self.size}{shards})"
+        return f"Checkpoint(v={self.version}, |D|={self.size})"
 
 
 class RecoveryLog:
@@ -142,18 +124,10 @@ class RecoveryLog:
         obs = self.obs
         start = obs.spans.now() if obs is not None else 0
         space = self.dataspace
-        if space.shard_count > 1:
-            chunks = [tuple(store.iter_serial()) for store in space.stores]
-            checkpoint = Checkpoint(
-                version=space.version,
-                instances=tuple(inst for chunk in chunks for inst in chunk),
-                shard_counts=tuple(len(chunk) for chunk in chunks),
-            )
-        else:
-            checkpoint = Checkpoint(
-                version=space.version,
-                instances=tuple(space.instances()),
-            )
+        checkpoint = Checkpoint(
+            version=space.version,
+            instances=tuple(space.instances()),
+        )
         if obs is not None:
             obs.observe_ns(
                 "checkpoint",
@@ -195,30 +169,11 @@ class RecoveryLog:
                 f"journal gap: no delta from checkpoint v{checkpoint.version} "
                 f"to live v{self.dataspace.version}"
             )
-        scratch = Dataspace(
-            indexed=self.dataspace.indexed,
-            shards=self.dataspace.shard_spec,
-            store=self.dataspace.store_kind,
-        )
+        scratch = Dataspace(indexed=self.dataspace.indexed)
         tid_map: dict[TupleId, TupleId] = {}
         for instance in checkpoint.instances:
             rebuilt = scratch.insert(instance.values, owner=instance.tid.owner)
             tid_map[instance.tid] = rebuilt.tid
-        if (
-            checkpoint.shard_counts is not None
-            and scratch.shard_count == len(checkpoint.shard_counts)
-        ):
-            # Routing is a pure function of the tuple's value, so the
-            # re-routed placement must reproduce the captured chunk sizes
-            # exactly; a mismatch means the checkpoint's shard_counts
-            # drifted from the instances it claims to describe.
-            sizes = scratch.shard_sizes()
-            if sizes != checkpoint.shard_counts:
-                raise RecoveryError(
-                    f"checkpoint v{checkpoint.version} shard counts "
-                    f"{checkpoint.shard_counts} disagree with re-routed "
-                    f"placement {sizes}"
-                )
         for change in changes:
             for instance in change.asserted:
                 rebuilt = scratch.insert(instance.values, owner=instance.tid.owner)
@@ -288,7 +243,7 @@ def _state_signature(space: Dataspace) -> list[tuple]:
 # first bad frame and everything after it is truncated.
 #
 # Checkpoint segment ``ckpt-<version>.seg``:
-#     ("meta", version, shard_spec, indexed, shard_counts, count)
+#     ("meta", version, indexed, count)
 #     ("inst", [(serial, owner, values), ...])   # chunks of _CHUNK
 #     ("end", count)                             # commit marker
 # A checkpoint missing its "end" frame (or failing any check before it)
@@ -496,14 +451,7 @@ class DurableLog(RecoveryLog):
     def _persist_checkpoint(self, checkpoint: Checkpoint) -> None:
         obs = self.obs
         start = obs.spans.now() if obs is not None else 0
-        meta = (
-            "meta",
-            checkpoint.version,
-            self.dataspace.shard_spec,
-            self.dataspace.indexed,
-            checkpoint.shard_counts,
-            checkpoint.size,
-        )
+        meta = ("meta", checkpoint.version, self.dataspace.indexed, checkpoint.size)
         parts = [_MAGIC, _frame(meta)]
         instances = checkpoint.instances
         for base in range(0, len(instances), _CHUNK):
@@ -612,25 +560,20 @@ class DurableLog(RecoveryLog):
     # read path
     # ------------------------------------------------------------------
     @classmethod
-    def load(
-        cls, wal_dir: str, faults=None, obs=None, store: "str | None" = None
-    ) -> tuple[Dataspace, DurableLoadReport]:
+    def load(cls, wal_dir: str, faults=None, obs=None) -> tuple[Dataspace, DurableLoadReport]:
         """Rebuild a dataspace from segment files alone (no live engine).
 
         Walks checkpoints newest-first until one passes every frame check
         (skipping damaged ones as counted repairs), loads it into a
-        scratch dataspace built with the recorded shard spec, then
-        replays the WAL segment chain from that version forward, stopping
-        at the first torn/corrupt frame or version-order violation.  The
+        scratch dataspace, then replays the WAL segment chain from that
+        version forward, stopping at the first torn/corrupt frame or
+        version-order violation.  The
         result is always a *verified prefix* of the persisted history —
         corrupt state is truncated and reported, never silently loaded.
 
         Raises :class:`RecoveryError` when no intact checkpoint survives.
         *faults* drives the ``segment-read`` fault site (short reads and
-        in-flight bit flips) for chaos tests.  *store* selects the scratch
-        dataspace's storage backend — the segment format is deliberately
-        backend-independent (value rows, not layout), so a log written
-        under either backend loads into either.
+        in-flight bit flips) for chaos tests.
         """
         start = obs.spans.now() if obs is not None else 0
         report = DurableLoadReport()
@@ -645,7 +588,7 @@ class DurableLog(RecoveryLog):
         loaded_version = -1
         for version in ckpts:
             path = os.path.join(wal_dir, f"ckpt-{version:020d}.seg")
-            candidate = cls._load_checkpoint(path, report, faults, store)
+            candidate = cls._load_checkpoint(path, report, faults)
             if candidate is None:
                 report.checkpoints_skipped += 1
                 continue
@@ -698,7 +641,7 @@ class DurableLog(RecoveryLog):
 
     @classmethod
     def _load_checkpoint(
-        cls, path: str, report: DurableLoadReport, faults, store: "str | None" = None
+        cls, path: str, report: DurableLoadReport, faults
     ) -> tuple[Dataspace, dict[tuple[int, int], TupleId]] | None:
         """Parse and validate one checkpoint segment; ``None`` if damaged."""
         name = os.path.basename(path)
@@ -714,26 +657,12 @@ class DurableLog(RecoveryLog):
                 report.repairs.append(RepairEvent(name, 0, "invalid-checkpoint"))
             return None
         meta, instances = valid
-        __, version, shard_spec, indexed, shard_counts, __count = meta
-        try:
-            scratch = Dataspace(indexed=indexed, shards=shard_spec, store=store)
-        except Exception:
-            report.repairs.append(RepairEvent(name, 0, "invalid-checkpoint"))
-            return None
+        __, __version, indexed, __count = meta
+        scratch = Dataspace(indexed=indexed)
         tid_map: dict[tuple[int, int], TupleId] = {}
         for serial, owner, values in instances:
             rebuilt = scratch.insert(values, owner=owner)
             tid_map[(serial, owner)] = rebuilt.tid
-        if (
-            shard_counts is not None
-            and scratch.shard_count == len(shard_counts)
-            and scratch.shard_sizes() != tuple(shard_counts)
-        ):
-            # Same rule as in-memory recovery: routing is pure, so a
-            # drifted count vector means the checkpoint lies about its
-            # own layout — reject it rather than trust its contents.
-            report.repairs.append(RepairEvent(name, 0, "invalid-checkpoint"))
-            return None
         return scratch, tid_map
 
     @staticmethod
@@ -742,7 +671,7 @@ class DurableLog(RecoveryLog):
         if not records:
             return None
         first = records[0][1]
-        if not (isinstance(first, tuple) and len(first) == 6 and first[0] == "meta"):
+        if not (isinstance(first, tuple) and len(first) == 4 and first[0] == "meta"):
             return None
         instances: list = []
         committed = False
@@ -754,7 +683,7 @@ class DurableLog(RecoveryLog):
             if record[0] == "inst" and len(record) == 2:
                 instances.extend(record[1])
             elif record[0] == "end" and len(record) == 2:
-                if record[1] != len(instances) or record[1] != first[5]:
+                if record[1] != len(instances) or record[1] != first[3]:
                     return None
                 committed = True
             else:
@@ -839,9 +768,7 @@ class DurableLog(RecoveryLog):
         if self._wal_handle is not None:
             self._wal_handle.flush()
             os.fsync(self._wal_handle.fileno())
-        scratch, report = self.load(
-            self.wal_dir, obs=self.obs, store=self.dataspace.store_kind
-        )
+        scratch, report = self.load(self.wal_dir, obs=self.obs)
         if not report.intact:
             raise RecoveryError(
                 f"durable log required repairs on verify: {report.repairs!r}"

@@ -1,10 +1,10 @@
 """Group-commit round phases (engine option ``commit="group"``).
 
 Extracted from :mod:`repro.runtime.executor` so the batch admission and
-apply paths — the code that has to understand storage shards — live in one
-small module.  The :class:`~repro.runtime.executor.Executor` keeps its
-public surface and delegates here; these functions receive the executor
-and drive its task/process plumbing.
+apply paths live in one small module.  The
+:class:`~repro.runtime.executor.Executor` keeps its public surface and
+delegates here; these functions receive the executor and drive its
+task/process plumbing.
 
 One round runs four phases over the items ready at its start:
 
@@ -13,15 +13,9 @@ One round runs four phases over the items ready at its start:
   selections, replication pumps, and other control flow go to the *tail*;
 * **Phase B — admit**: every candidate is evaluated against the common
   round-start snapshot, its footprint recorded, and the largest
-  prefix-compatible subsequence admitted (:mod:`repro.runtime.commit`).
-  Under a sharded dataspace each footprint carries per-rule shard-sets
-  (see :class:`~repro.runtime.commit.Footprint`); a candidate whose reads
-  meet no admitted write's shard and whose retractions meet no admitted
-  retraction's shard cannot conflict with any batch member, so the
-  pairwise ``first_conflict`` walk is skipped after two O(1) set
-  intersections (counted as ``sdl_shard_disjoint_admits_total``).  The
-  skip elides only checks that would provably return "no conflict", so
-  admission decisions are identical with and without it;
+  prefix-compatible subsequence admitted (:mod:`repro.runtime.commit`):
+  each candidate is checked pairwise against the admitted batch by
+  ``first_conflict``;
 * **Phase C — apply**: the admitted batch commits in arbitration order
   (optionally re-validated by serial replay);
 * **Phase D — tail**: the non-transaction items step against the live
@@ -116,19 +110,10 @@ def run_group_round(executor: "Executor", items: list) -> list:
     admit_start = obs.spans.now() if obs is not None else 0
     faults = engine.faults
     watermark = engine.dataspace.serial
-    partitioner = engine.dataspace.partitioner
-    sharded = partitioner.shard_count > 1
     admitted: list[tuple[Task, Transaction, Any, str]] = []
     admitted_fps: list = []
-    # Union of the admitted batch's shard-sets, one per conflict rule:
-    # writes (r-w) and retractions (w-w).  The write union goes ``None`` —
-    # fast path off for the rest of the round — once any admitted footprint
-    # has an unbounded write side; retract sets are always exact.
-    admitted_write_shards: frozenset[int] | None = frozenset()
-    admitted_retract_shards: frozenset[int] = frozenset()
     losers: list[Task] = []
     conflict_count = 0
-    disjoint_skips = 0
     for position, (task, txn, origin) in enumerate(candidates):
         if task.state is not TaskState.READY:
             continue  # its process died during classification
@@ -164,28 +149,8 @@ def run_group_round(executor: "Executor", items: list) -> list:
             if action == "abort-txn":
                 _group_failure(executor, task, txn, origin)
                 continue
-        fp = footprint_for(
-            txn,
-            result if result.success else None,
-            process,
-            scope,
-            partitioner if sharded else None,
-        )
-        if (
-            admitted_fps
-            and fp.read_shards is not None
-            and admitted_write_shards is not None
-            and fp.read_shards.isdisjoint(admitted_write_shards)
-            and fp.retract_shards.isdisjoint(admitted_retract_shards)
-        ):
-            # Shard-disjoint from the whole admitted batch on both conflict
-            # rules (its reads meet no admitted write's shard, its
-            # retractions meet no admitted retraction's shard): no pairwise
-            # check can report a conflict, so don't run them.
-            winner = None
-            disjoint_skips += 1
-        else:
-            winner = first_conflict(admitted_fps, fp)
+        fp = footprint_for(txn, result if result.success else None, process, scope)
+        winner = first_conflict(admitted_fps, fp)
         if winner is not None:
             # Loser: both its success and its failure verdicts are
             # unreliable after the winner's writes — re-queue, never
@@ -222,16 +187,7 @@ def run_group_round(executor: "Executor", items: list) -> list:
                 continue
         admitted.append((task, txn, result, origin))
         admitted_fps.append(fp)
-        if admitted_write_shards is not None:
-            admitted_write_shards = (
-                None
-                if fp.write_shards is None
-                else admitted_write_shards | fp.write_shards
-            )
-        admitted_retract_shards |= fp.retract_shards
     if obs is not None:
-        if disjoint_skips:
-            obs.count("sdl_shard_disjoint_admits_total", amount=disjoint_skips)
         obs.observe_ns(
             "group-admit",
             admit_start,

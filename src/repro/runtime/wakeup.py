@@ -202,55 +202,28 @@ def txn_arities(query: Query) -> set[int] | None:
 # the index
 # ----------------------------------------------------------------------
 
-#: Pseudo-shard for watcher keys no shard can claim (non-head positions,
-#: or no partitioner attached): one table shared by every change probe.
-_GLOBAL_SHARD = -1
-
-
 class WakeupIndex:
     """Registry of parked items keyed by the index keys they watch.
 
     Items are any objects with a ``tid``; registration order is preserved
     (re-registering a parked item under a new subscription keeps its slot)
     so wake delivery stays FIFO — the weak-fairness order of the seed.
-
-    When a *partitioner* (``repro.core.storage.Partitioner``) is attached,
-    the key tables are kept **per shard**: a watcher key pinning position 0
-    registers in the home shard's table of its ``(arity, value)``, all
-    other keys in the global table.  A changed instance then probes only
-    its own shard's table plus the global one.  Registration and probing
-    use the same pure routing function, so the candidate sets — and the
-    ``wake_checks`` counter — are identical to the flat layout.
     """
 
-    __slots__ = ("stats", "obs", "_items", "_subs", "_any", "_by_arity", "_by_key", "_order", "_seq", "_partitioner")
+    __slots__ = ("stats", "obs", "_items", "_subs", "_any", "_by_arity", "_by_key", "_order", "_seq")
 
-    def __init__(self, stats: WakeupStats | None = None, obs=None, partitioner=None) -> None:
+    def __init__(self, stats: WakeupStats | None = None, obs=None) -> None:
         self.stats = stats if stats is not None else WakeupStats()
         #: Observability hook (``repro.obs.Observability`` or ``None``);
         #: ``None`` keeps :meth:`affected` on the original path.
         self.obs = obs
-        #: Shard router (or ``None``: every key in the global table).
-        #: Single-shard partitioners are treated as absent — one table.
-        self._partitioner = (
-            partitioner
-            if partitioner is not None and partitioner.shard_count > 1
-            else None
-        )
         self._items: dict[int, Any] = {}
         self._subs: dict[int, Subscription] = {}
         self._any: set[int] = set()
         self._by_arity: dict[int, set[int]] = {}
-        #: shard -> key table; :data:`_GLOBAL_SHARD` holds unrouted keys.
-        self._by_key: dict[int, dict[tuple[int, int, Any], set[int]]] = {}
+        self._by_key: dict[tuple[int, int, Any], set[int]] = {}
         self._order: dict[int, int] = {}  # tid -> registration sequence
         self._seq = 0
-
-    def _key_shard(self, arity: int, position: int, value: Any) -> int:
-        """Which table owns the watcher key ``(arity, position, value)``."""
-        if self._partitioner is None or position != 0:
-            return _GLOBAL_SHARD
-        return self._partitioner.shard_of(arity, value)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -290,9 +263,8 @@ class WakeupIndex:
                 # registered one does.  The last probe is heuristically the
                 # most selective (patterns lead with broad type-tag atoms).
                 position, value = watcher.probes[-1]
-                shard = self._key_shard(watcher.arity, position, value)
-                table = self._by_key.setdefault(shard, {})
-                table.setdefault((watcher.arity, position, value), set()).add(tid)
+                key = (watcher.arity, position, value)
+                self._by_key.setdefault(key, set()).add(tid)
                 self.stats.key_watchers += 1
             else:
                 self._by_arity.setdefault(watcher.arity, set()).add(tid)
@@ -314,16 +286,12 @@ class WakeupIndex:
         for watcher in sub.watchers:
             if watcher.probes:
                 position, value = watcher.probes[-1]
-                shard = self._key_shard(watcher.arity, position, value)
-                table = self._by_key.get(shard)
                 key = (watcher.arity, position, value)
-                bucket = table.get(key) if table is not None else None
+                bucket = self._by_key.get(key)
                 if bucket is not None:
                     bucket.discard(tid)
                     if not bucket:
-                        del table[key]
-                        if not table:
-                            del self._by_key[shard]
+                        del self._by_key[key]
             else:
                 bucket = self._by_arity.get(watcher.arity)
                 if bucket is not None:
@@ -345,7 +313,6 @@ class WakeupIndex:
         checked = 0
         woken: set[int] = set(self._any)
         if self._by_arity or self._by_key:
-            partitioner = self._partitioner
             by_key = self._by_key
             candidates: set[int] = set()
             for inst in instances:
@@ -355,19 +322,8 @@ class WakeupIndex:
                 if not by_key:
                     continue
                 arity = inst.arity
-                values = inst.values
-                global_table = by_key.get(_GLOBAL_SHARD)
-                # Position-0 keys live in the instance's home-shard table;
-                # with no partitioner every key is in the global table.
-                if partitioner is not None and values:
-                    head_table = by_key.get(partitioner.shard_of(arity, values[0]))
-                else:
-                    head_table = global_table
-                for position, value in enumerate(values):
-                    table = head_table if position == 0 else global_table
-                    if not table:
-                        continue
-                    bucket = table.get((arity, position, value))
+                for position, value in enumerate(inst.values):
+                    bucket = by_key.get((arity, position, value))
                     if bucket:
                         candidates |= bucket
             candidates -= woken

@@ -1,6 +1,6 @@
 """DurableLog: segment round-trips, detect-and-truncate repair, engine wiring.
 
-The contract under test (SEMANTICS §14): a durable load never silently
+The contract under test (SEMANTICS §13): a durable load never silently
 returns corrupt state — every outcome is either a verified prefix of the
 persisted history or an explicit :class:`RecoveryError`, with every
 truncation/fallback recorded as a :class:`RepairEvent`.
@@ -15,7 +15,7 @@ from repro.core.dataspace import Dataspace
 from repro.errors import RecoveryError
 from repro.runtime import DurableLog, Engine, RecoveryLog
 from repro.runtime.faults import FaultInjector, FaultPlan
-from repro.runtime.recovery import _HEADER, _MAGIC, _state_signature
+from repro.runtime.recovery import _HEADER, _MAGIC, _frame, _state_signature
 
 
 def signature(space):
@@ -33,9 +33,8 @@ def fill(space, n=40, retract_every=4):
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("shards", [None, 4])
-    def test_load_rebuilds_live_state(self, tmp_path, shards):
-        space = Dataspace(shards=shards)
+    def test_load_rebuilds_live_state(self, tmp_path):
+        space = Dataspace()
         log = DurableLog(space, str(tmp_path), interval=8)
         fill(space)
         log.close()
@@ -65,7 +64,7 @@ class TestRoundTrip:
         assert report.frames_replayed == 0  # all state in the baseline
 
     def test_verify_durable_proves_disk_equals_live(self, tmp_path):
-        space = Dataspace(shards=2)
+        space = Dataspace()
         log = DurableLog(space, str(tmp_path), interval=16)
         fill(space, n=30)
         report = log.verify_durable()
@@ -250,6 +249,29 @@ class TestRepair:
         open(newest, "wb").write(data[: len(data) - 10])
         scratch, report = DurableLog.load(str(tmp_path))
         assert report.checkpoints_skipped == 1
+        assert signature(scratch) == signature(space)
+
+    def test_legacy_six_field_meta_is_an_invalid_checkpoint(self, tmp_path):
+        """A checkpoint whose meta frame has the old six-field shape
+        ``("meta", version, layout, indexed, counts, count)`` is rejected
+        as a whole and never loaded, even though every frame checksums."""
+        space = Dataspace()
+        log = DurableLog(space, str(tmp_path), interval=8)
+        fill(space, n=20)
+        log.close()
+        newest = seg_files(str(tmp_path), "ckpt")[-1]
+        version = int(os.path.basename(newest)[5:-4])
+        legacy = (
+            _MAGIC
+            + _frame(("meta", version, "single", True, None, 1))
+            + _frame(("inst", [(1, 0, ("phantom", 0))]))
+            + _frame(("end", 1))
+        )
+        open(newest, "wb").write(legacy)
+        scratch, report = DurableLog.load(str(tmp_path))
+        assert report.checkpoints_skipped == 1
+        assert [r.kind for r in report.repairs] == ["invalid-checkpoint"]
+        assert report.repairs[0].file == os.path.basename(newest)
         assert signature(scratch) == signature(space)
 
     def test_verify_durable_raises_on_disk_corruption(self, tmp_path):

@@ -1,8 +1,8 @@
 """Property-based durability: every load is an exact historical state.
 
-The core theorem: for any operation history, any shard layout, any
-checkpoint interval, and any single seeded corruption of the on-disk
-segments, ``DurableLog.load`` either raises :class:`RecoveryError` or
+The core theorem: for any operation history, any checkpoint interval,
+and any single seeded corruption of the on-disk segments,
+``DurableLog.load`` either raises :class:`RecoveryError` or
 returns a dataspace whose state equals the history's state at exactly
 ``report.end_version`` — a verified prefix, never an invented or silently
 corrupted state.  The ``chaos`` tests at the bottom run the same check
@@ -59,12 +59,11 @@ class TestDurableRoundTripProperty:
     @settings(max_examples=20, deadline=None)
     @given(
         ops=ops_strategy,
-        shards=st.sampled_from([None, 4]),
         interval=st.sampled_from([2, 8, 64]),
     )
-    def test_clean_load_equals_final_state(self, tmp_path_factory, ops, shards, interval):
+    def test_clean_load_equals_final_state(self, tmp_path_factory, ops, interval):
         wal_dir = str(tmp_path_factory.mktemp("wal"))
-        space = Dataspace(shards=shards)
+        space = Dataspace()
         log = DurableLog(space, wal_dir, interval=interval)
         snapshots = apply_history(space, ops)
         log.close()
@@ -76,17 +75,16 @@ class TestDurableRoundTripProperty:
     @settings(max_examples=25, deadline=None)
     @given(
         ops=ops_strategy,
-        shards=st.sampled_from([None, 4]),
         interval=st.sampled_from([2, 8, 64]),
         victim=st.integers(min_value=0, max_value=10**6),
         offset=st.integers(min_value=0, max_value=10**6),
         flip=st.integers(min_value=1, max_value=255),
     )
     def test_corrupted_load_is_a_verified_prefix(
-        self, tmp_path_factory, ops, shards, interval, victim, offset, flip
+        self, tmp_path_factory, ops, interval, victim, offset, flip
     ):
         wal_dir = str(tmp_path_factory.mktemp("wal"))
-        space = Dataspace(shards=shards)
+        space = Dataspace()
         log = DurableLog(space, wal_dir, interval=interval)
         snapshots = apply_history(space, ops)
         log.close()
@@ -178,7 +176,6 @@ class TestChaosSmoke:
             definitions=[_writer()],
             seed=seed,
             commit=commit,
-            shards=4,
             wal_dir=str(tmp_path),
             checkpoint_interval=8,
             faults=f"seed={seed}; wal-append:{action}:prob=0.15",
@@ -210,7 +207,6 @@ class TestChaosSmoke:
         engine = Engine(
             definitions=[_writer()],
             seed=seed,
-            shards=4,
             commit="group",
             wal_dir=str(tmp_path),
             checkpoint_interval=8,

@@ -335,39 +335,6 @@ class TestEngineIntegration:
         assert m["sdl_rounds_total"]["data"] == run.result.rounds
         assert m["sdl_commits_total"]["data"] == run.result.commits
 
-    def test_shard_occupancy_gauges_reconcile_after_retracts(self):
-        # Retract-heavy sharded run: every retract must pull its home
-        # shard's gauge down with it, so at teardown each gauge equals
-        # the shard's live instance count exactly (not just in total).
-        from repro.core.expressions import Var
-        from repro.core.patterns import P
-        from repro.core.process import ProcessDefinition
-        from repro.core.query import exists
-        from repro.core.transactions import delayed
-        from repro.runtime.engine import Engine
-
-        a = Var("a")
-        eater = ProcessDefinition(
-            "Eater",
-            params=("c",),
-            body=[delayed(exists(a).match(P[Var("c"), a].retract())).then()],
-        )
-        engine = Engine(definitions=[eater], seed=3, shards=4, obs=True)
-        engine.assert_tuples(
-            [(f"c{c}", i) for c in range(6) for i in range(4)]
-        )
-        for c in range(6):
-            for __ in range(3):
-                engine.start("Eater", (f"c{c}",))
-        result = engine.run()
-        assert result.completed
-        for shard, store in enumerate(engine.dataspace.stores):
-            gauge = result.metrics[f"sdl_shard_occupancy_{shard}"]["data"]
-            assert gauge == len(store), f"gauge drifted on shard {shard}"
-        assert result.dataspace_size == sum(
-            len(store) for store in engine.dataspace.stores
-        )
-
     def test_run_metrics_surfaces_obs(self):
         from repro.viz.stats import run_metrics
 

@@ -1,6 +1,6 @@
 """Spec rejections and restart-pressure accounting.
 
-Two claims under test.  (1) Every malformed shard spec and fault clause is
+Two claims under test.  (1) Every malformed fault clause is
 rejected at parse time with a stable, specific reason string.  (2) Every
 crash a supervised (or unsupervised) process suffers is counted on
 ``RunResult.restart_pressure`` per definition, together with the restarts,
@@ -16,7 +16,6 @@ from repro.core.expressions import Var
 from repro.core.patterns import P
 from repro.core.process import ProcessDefinition
 from repro.core.query import exists
-from repro.core.storage import resolve_shards
 from repro.core.transactions import delayed
 from repro.errors import FaultPlanError
 from repro.runtime import Engine, RestartPolicy
@@ -24,45 +23,10 @@ from repro.runtime.faults import FaultPlan
 
 
 # ---------------------------------------------------------------------------
-# spec-parsing rejection paths (shards, fault clauses)
+# spec-parsing rejection paths (fault clauses)
 # ---------------------------------------------------------------------------
 
 class TestSpecRejections:
-    @pytest.mark.parametrize(
-        "spec, fragment",
-        [
-            ("hash:4", "unknown shard routing 'hash'"),
-            ("head:4:2", "too many ':'"),
-            ("head:lots", "bad shard count 'lots'"),
-            ("head:", "bad shard count ''"),
-            ("4.5", "bad shard count '4.5'"),
-        ],
-    )
-    def test_resolve_shards_rejects(self, spec, fragment):
-        try:
-            resolve_shards(spec)
-        except ValueError as err:
-            assert fragment in str(err)
-        else:
-            pytest.fail(f"resolve_shards({spec!r}) did not raise")
-
-    @pytest.mark.parametrize(
-        "spec, fragment",
-        [
-            ("head:1", "head routing needs >= 2 shards, got 1"),
-            ("head:0", "head routing needs >= 2 shards, got 0"),
-            ("head:-2", "head routing needs >= 2 shards, got -2"),
-            (" HEAD:1 ", "head routing needs >= 2 shards, got 1"),
-        ],
-    )
-    def test_resolve_shards_rejects_explicit_small_head(self, spec, fragment):
-        # An explicit head:N below 2 used to fall through to the single
-        # store silently; it is a spec error now, with a pointer at the fix.
-        with pytest.raises(ValueError) as err:
-            resolve_shards(spec)
-        assert fragment in str(err.value)
-        assert "use 'single'" in str(err.value)
-
     @pytest.mark.parametrize(
         "plan, fragment",
         [
