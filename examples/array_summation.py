@@ -12,7 +12,7 @@ Run:  python examples/array_summation.py [N]
 import sys
 
 from repro.programs import run_sum1, run_sum2, run_sum3
-from repro.viz import render_profile, run_metrics
+from repro.viz import render_profile
 from repro.workloads import random_array
 
 
@@ -28,10 +28,10 @@ def main() -> None:
     for name, runner in (("Sum1", run_sum1), ("Sum2", run_sum2), ("Sum3", run_sum3)):
         out = runner(values, seed=1, detail=True)
         assert out.total == expected, (name, out.total)
-        metrics = run_metrics(out.result, out.trace)
+        result = out.result
         print(
-            f"{name:<6} {metrics.processes_created:>9} {metrics.commits:>8} "
-            f"{metrics.consensus_rounds:>9} {metrics.rounds:>7} {metrics.parallelism:>11.2f}"
+            f"{name:<6} {result.processes_created:>9} {result.commits:>8} "
+            f"{result.consensus_rounds:>9} {result.rounds:>7} {result.parallelism:>11.2f}"
         )
 
     print(

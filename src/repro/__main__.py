@@ -9,8 +9,6 @@ Usage::
 ``--metrics-out`` / ``--trace-out`` enable the runtime observability layer
 (:mod:`repro.obs`) and write the metrics registry (Prometheus text, or JSON
 when the path ends in ``.json``) and the span trace (JSONL) after the run.
-Setting the ``SDL_OBS`` environment variable enables the layer without
-writing files (the run summary then reports per-site observation counts).
 
     python -m repro check PROGRAM.sdl          # parse/compile only
     python -m repro pretty PROGRAM.sdl         # reformat a program
@@ -117,9 +115,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     source = open(args.program).read()
     definitions = compile_program(source)
     trace = Trace(detail=args.trace or args.profile)
-    # Either output flag switches observability on; otherwise leave the
-    # engine to consult SDL_OBS (None = env default).
-    obs = True if (args.metrics_out or args.trace_out) else None
+    # Either output flag switches observability on.
+    obs = bool(args.metrics_out or args.trace_out)
     engine = Engine(
         definitions=definitions.values(),
         seed=args.seed,

@@ -394,15 +394,12 @@ class QueryPlanner:
         __, relevant, plans = entry
         bound_key = frozenset(name for name in bound if name in relevant)
         plan = plans.get(bound_key)
-        obs = self.obs
         if plan is not None:
             self.hits += 1
-            if obs is not None:
-                obs.count("sdl_plan_cache_total", result="hit")
             return plan
         self.misses += 1
+        obs = self.obs
         if obs is not None:
-            obs.count("sdl_plan_cache_total", result="miss")
             start = obs.spans.now()
             plan = build_plan(patterns, bound_key, bound, self.dataspace)
             obs.observe_ns(

@@ -212,20 +212,17 @@ FULL_VIEW = View.full()
 
 @dataclass(slots=True)
 class WindowStats:
-    """Reactivity counters for one window (aggregated into ``RunResult``)."""
+    """Reactivity counters of a window.
+
+    A bare window keeps its own; an engine hands every window it makes one
+    shared instance, which ``RunResult`` reports.
+    """
 
     hits: int = 0
     misses: int = 0
     delta_refreshes: int = 0
     full_invalidations: int = 0
     footprint_recomputes: int = 0
-
-    def absorb(self, other: "WindowStats") -> None:
-        self.hits += other.hits
-        self.misses += other.misses
-        self.delta_refreshes += other.delta_refreshes
-        self.full_invalidations += other.full_invalidations
-        self.footprint_recomputes += other.footprint_recomputes
 
 
 class Window:

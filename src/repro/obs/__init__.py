@@ -19,15 +19,17 @@ discipline — and the hottest sites (``Dataspace.candidates``,
 observability disabled takes the original code path at original cost
 (benchmark E15 measures the claim).
 
-Enablement: ``Engine(obs=Observability())``, the ``SDL_OBS`` environment
-variable (any of ``1``/``on``/``true``), or the CLI flags
-``--metrics-out`` / ``--trace-out``.  Instrumented sites and the overhead
+Enablement: ``Engine(obs=True)`` (or an :class:`Observability` instance),
+or the CLI flags ``--metrics-out`` / ``--trace-out``.  The registry holds
+the site histograms and the few counts nothing else keeps (fault firings,
+WAL repairs); everything else a run counted lives on
+:class:`~repro.runtime.engine.RunResult`, which the engine exports into
+the registry at the end of each run.  Instrumented sites and the overhead
 contract are documented in ``docs/SEMANTICS.md`` §11.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any
 
 from repro.obs.metrics import (
@@ -180,25 +182,11 @@ class Observability:
         return f"Observability(metrics={len(self.registry)}, {self.spans!r})"
 
 
-_FALSEY = ("", "0", "off", "false", "no", "none")
-
-
-def resolve_obs(obs: "Observability | bool | str | None") -> Observability | None:
-    """Normalise an ``Engine(obs=...)`` argument (or ``SDL_OBS``) to an
-    :class:`Observability` instance or ``None`` (disabled).
-
-    ``None`` consults the ``SDL_OBS`` environment variable, so whole test
-    suites can be swept with observability on — the same convention as
-    ``SDL_COMMIT`` and ``SDL_FAULTS``.
-    """
+def resolve_obs(obs: "Observability | bool | None") -> Observability | None:
+    """Normalise an ``Engine(obs=...)`` argument to an
+    :class:`Observability` instance or ``None`` (disabled)."""
     if isinstance(obs, Observability):
         return obs
-    if obs is None:
-        obs = os.environ.get("SDL_OBS") or None
-        if obs is None:
-            return None
-    if isinstance(obs, bool):
+    if obs is None or isinstance(obs, bool):
         return Observability() if obs else None
-    if isinstance(obs, str):
-        return None if obs.strip().lower() in _FALSEY else Observability()
     raise TypeError(f"cannot resolve obs={obs!r}")

@@ -5,7 +5,8 @@ Prometheus data model closely enough that :meth:`MetricsRegistry.render_promethe
 produces a conformant text exposition, but everything is plain Python:
 
 * :class:`Counter` — monotone; optionally labelled (one child per label
-  value combination, created on first use);
+  value combination, created on first use); :meth:`Counter.set` exports a
+  total counted elsewhere;
 * :class:`Gauge` — a settable scalar;
 * :class:`Histogram` — **explicit** bucket boundaries (upper bounds, in the
   metric's unit — latency histograms use seconds), cumulative on render,
@@ -75,6 +76,16 @@ class Counter:
         if labels:
             key = _label_key(labels)
             self.children[key] = self.children.get(key, 0) + amount
+
+    def set(self, value: float, **labels: Any) -> None:
+        """Set the running total (of one label set) to *value*: the export
+        of a count kept elsewhere."""
+        if labels:
+            key = _label_key(labels)
+            self.value += value - self.children.get(key, 0)
+            self.children[key] = value
+        else:
+            self.value = value
 
     def render(self) -> Iterable[str]:
         if self.children:

@@ -16,16 +16,20 @@ program-visible objects:
 :meth:`Engine.run` drives rounds until completion, deadlock, or a limit; a
 round ends when every item ready at its start has been stepped once, so
 round counts approximate the parallel makespan while step counts give total
-work.  :class:`RunResult` summarises a run, including the reactivity
-counters (precise/spurious wakeups, window cache hits, delta vs full
-refreshes) that make the incremental pipeline observable.
+work.  A run stopped at a limit keeps its unstepped work, so calling
+:meth:`Engine.run` again resumes it.
+
+:class:`RunResult` is the one record of what a run counted: it inherits
+every trace counter and adds the engine's own (steps, rounds, window and
+wake checks, WAL, plan cache).  With observability enabled, the engine
+exports it into the metrics registry under the names in :data:`EXPORTS`.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Sequence as Seq
 
 from repro.core.dataspace import Dataspace
@@ -35,7 +39,13 @@ from repro.core.society import ProcessSociety
 from repro.core.views import Window, WindowStats
 from repro.errors import DeadlockError, EngineError, StepLimitExceeded
 from repro.obs import Observability, resolve_obs
-from repro.runtime.events import CheckpointTaken, ProcessCreated, ProcessRestarted, Trace
+from repro.runtime.events import (
+    CheckpointTaken,
+    ProcessCreated,
+    ProcessRestarted,
+    Trace,
+    TraceCounters,
+)
 from repro.runtime.executor import Executor
 from repro.runtime.faults import FaultInjector, FaultPlan, resolve_plan
 from repro.runtime.interpreter import interpret
@@ -44,12 +54,18 @@ from repro.runtime.scheduler import Scheduler, Task, TaskKind, TaskState
 from repro.runtime.supervision import RestartPolicy, Supervisor
 from repro.runtime.wakeup import WakeupIndex
 
-__all__ = ["Engine", "RunResult"]
+__all__ = ["Engine", "RunResult", "EXPORTS"]
 
 
-@dataclass(slots=True)
-class RunResult:
-    """Summary of one engine run.
+@dataclass(slots=True, kw_only=True)
+class RunResult(TraceCounters):
+    """Everything one engine run counted: the run's single record.
+
+    The :class:`~repro.runtime.events.TraceCounters` fields (commits,
+    failures, wakeups, group rounds, crashes, ...) are inherited, not
+    declared again; the fields below are counted outside the trace.  An
+    engine with observability enabled exports the record into its metrics
+    registry (:data:`EXPORTS`), so the registry is a view of it.
 
     ``reason`` values: ``"completed"`` (every process terminated, all crash
     lineages recovered), ``"deadlock"``, ``"step-limit"``, ``"round-limit"``,
@@ -61,31 +77,19 @@ class RunResult:
     reason: str
     steps: int
     rounds: int
-    commits: int
-    consensus_rounds: int
     live_processes: int
     dataspace_size: int
     deadlocked: list[str] = field(default_factory=list)
-    # Reactivity counters (defaults keep hand-built RunResults valid).
-    wakeups: int = 0
-    precise_wakeups: int = 0
-    spurious_wakeups: int = 0
+    # Reactivity counters: wake candidates verified, window import
+    # decisions served from memos, delta vs full refreshes.
     wake_checks: int = 0
     window_hits: int = 0
     window_misses: int = 0
     window_delta_refreshes: int = 0
     window_full_invalidations: int = 0
     footprint_recomputes: int = 0
-    # Group-commit counters (populated under ``commit="group"``).
-    group_rounds: int = 0
-    batch_commits: int = 0
-    conflicts: int = 0
-    max_batch: int = 0
-    # Crash-stop failure counters (populated under fault injection).
-    crashes: int = 0
-    restarts: int = 0
+    # Restarted lineages that later finished cleanly.
     recoveries: int = 0
-    checkpoints: int = 0
     # Per-definition restart pressure from the supervisor:
     # ``{name: {crashes, restarts, backoff_rounds, escalations}}`` — a
     # crash-looping definition shows up here without reading the trace.
@@ -96,9 +100,10 @@ class RunResult:
     wal_bytes: int = 0
     wal_segments: int = 0
     # Query-planner counters (zero under ``plan="off"``): plan-cache
-    # lookups that reused a compiled plan vs. built one.
+    # lookups that reused a compiled plan vs. built one, and cached plans.
     plan_hits: int = 0
     plan_misses: int = 0
+    plan_cache_size: int = 0
     # Observability snapshot: the metrics registry dump of the run
     # (``repro.obs``) when the engine ran with observability enabled,
     # ``{}`` otherwise.  Keys are metric names; per-site latency
@@ -143,6 +148,32 @@ class RunResult:
         lookups = self.plan_hits + self.plan_misses
         return self.plan_hits / lookups if lookups else 0.0
 
+    @property
+    def restart_storm(self) -> int:
+        """The heaviest per-definition restart count."""
+        return max(
+            (entry["restarts"] for entry in self.restart_pressure.values()), default=0
+        )
+
+
+#: The registry view of :class:`RunResult`: ``(metric, kind, labels,
+#: attribute)``.  An obs-enabled engine *sets* these at the end of every
+#: :meth:`Engine.run`, so a resumed run re-exports running totals rather
+#: than adding to them.
+EXPORTS: tuple[tuple[str, str, dict[str, str], str], ...] = (
+    ("sdl_steps_total", "gauge", {}, "steps"),
+    ("sdl_rounds_total", "gauge", {}, "rounds"),
+    ("sdl_commits_total", "gauge", {}, "commits"),
+    ("sdl_dataspace_size", "gauge", {}, "dataspace_size"),
+    ("sdl_plan_cache_total", "counter", {"result": "hit"}, "plan_hits"),
+    ("sdl_plan_cache_total", "counter", {"result": "miss"}, "plan_misses"),
+    ("sdl_plan_cache_size", "gauge", {}, "plan_cache_size"),
+    ("sdl_plan_hit_rate", "gauge", {}, "plan_hit_rate"),
+    ("sdl_wal_frames_total", "counter", {}, "wal_frames"),
+    ("sdl_wal_bytes_total", "counter", {}, "wal_bytes"),
+    ("sdl_restart_storm", "gauge", {}, "restart_storm"),
+)
+
 
 class Engine:
     """Executes an SDL program over a dataspace and a process society."""
@@ -163,7 +194,7 @@ class Engine:
         faults: "FaultPlan | str | None" = None,
         supervision: "dict[str, RestartPolicy] | RestartPolicy | None" = None,
         checkpoint_interval: int | None = None,
-        obs: "Observability | bool | str | None" = None,
+        obs: "Observability | bool | None" = None,
         plan: "str | bool | None" = None,
         wal_dir: "str | None" = None,
     ) -> None:
@@ -206,10 +237,10 @@ class Engine:
 
         # Observability (metrics + span tracing, ``repro.obs``): same
         # disabled-path discipline as fault injection — ``self.obs`` is
-        # ``None`` unless enabled (argument, or env ``SDL_OBS``), every
-        # instrumented site guards with a single ``is None`` check, and
-        # the hook never consumes :attr:`rng`, so an instrumented run is
-        # bit-identical to a bare one.
+        # ``None`` unless the argument enables it, every instrumented site
+        # guards with a single ``is None`` check, and the hook never
+        # consumes :attr:`rng`, so an instrumented run is bit-identical to
+        # a bare one.
         self.obs: Observability | None = resolve_obs(obs)
 
         # Cost-based query planning (``repro.core.plan``): on by default;
@@ -244,7 +275,10 @@ class Engine:
         self.executor = Executor(self)
         self.tasks: dict[int, Task] = {}
         self._windows: dict[int, Window] = {}
-        self._window_stats = WindowStats()  # absorbed from dropped windows
+        self.window_stats = WindowStats()  # shared by every engine window
+        # Group-commit conflict losers awaiting the next round; kept here so
+        # a run stopped at a limit resumes them.
+        self._deferred: list = []
         # Recovery: in-memory checkpoints (``checkpoint_interval=``), or —
         # when a WAL directory is configured (``wal_dir=`` / SDL_WAL_DIR /
         # ``--wal-dir``) — the durable layer on top of them: checksummed
@@ -331,13 +365,13 @@ class Engine:
                     return self._finish()
                 if max_rounds is not None and scheduler.round_count > max_rounds:
                     return self._summary("round-limit")
+            # The budget is checked before popping, so a resumed run starts
+            # with the item this one did not step.
+            if self.step_count >= max_steps:
+                return self._step_limit(max_steps)
             item = scheduler.pop()
             if item.state is not TaskState.READY:
                 continue  # lazily discarded (aborted process, stale entry)
-            if self.step_count >= max_steps:
-                if self.on_deadlock == "raise":
-                    raise StepLimitExceeded(max_steps)
-                return self._summary("step-limit")
             self.step_count += 1
             executor.step(item)
 
@@ -348,11 +382,11 @@ class Engine:
         are neither blocked nor re-enqueued) and are prepended, in order,
         to the next round's arbitration sequence — the first loser is then
         unconditionally admitted, which is the weak-fairness argument of
-        `docs/SEMANTICS.md`.
+        `docs/SEMANTICS.md`.  Both limits are checked before a round is
+        taken, so the step budget is honoured at round boundaries.
         """
         scheduler = self.scheduler
         executor = self.executor
-        deferred: list = []
         while True:
             if self.supervisor.escalated is not None:
                 return self._summary("escalated")
@@ -360,21 +394,24 @@ class Engine:
                 executor.try_consensus()
             executor.flush_delayed()
             self._spawn_restarts()
-            items = scheduler.take_round(prepend=deferred)
+            if self._deferred or scheduler.has_ready:
+                if max_rounds is not None and scheduler.round_count >= max_rounds:
+                    return self._summary("round-limit")
+                if self.step_count >= max_steps:
+                    return self._step_limit(max_steps)
+            items = scheduler.take_round(prepend=self._deferred)
             if items is None:
                 if executor.try_consensus():
                     continue
                 if self._spawn_restarts(idle=True):
                     continue
                 return self._finish()
-            deferred = []
-            if max_rounds is not None and scheduler.round_count > max_rounds:
-                return self._summary("round-limit")
-            if self.step_count >= max_steps:
-                if self.on_deadlock == "raise":
-                    raise StepLimitExceeded(max_steps)
-                return self._summary("step-limit")
-            deferred = executor.run_group_round(items)
+            self._deferred = executor.run_group_round(items)
+
+    def _step_limit(self, max_steps: int) -> RunResult:
+        if self.on_deadlock == "raise":
+            raise StepLimitExceeded(max_steps)
+        return self._summary("step-limit")
 
     def _finish(self) -> RunResult:
         if len(self.wakeups) or self.executor.consensus_waiters:
@@ -393,58 +430,29 @@ class Engine:
         return self._summary("completed")
 
     def _summary(self, reason: str, deadlocked: list[str] | None = None) -> RunResult:
-        counters = self.trace.counters
-        windows = self.window_stats()
         if self.recovery is not None:
             # Teardown: detach the recovery log's dataspace listener so a
             # finished engine leaves no subscription behind (checkpoints and
             # journal stay queryable — ``recover``/``verify`` still work).
             self.recovery.close()
+        windows = self.window_stats
         planner = self.planner
-        metrics: dict[str, Any] = {}
-        if self.obs is not None:
-            o = self.obs
-            o.gauge("sdl_dataspace_size", len(self.dataspace))
-            o.gauge("sdl_rounds_total", self.scheduler.round_count)
-            o.gauge("sdl_steps_total", self.step_count)
-            o.gauge("sdl_commits_total", counters.commits)
-            if planner is not None:
-                o.gauge("sdl_plan_cache_size", planner.cache_size)
-                o.gauge("sdl_plan_hit_rate", planner.hit_rate)
-            # The heaviest per-definition restart count: a crash storm is
-            # one glance at the gauge, not a trace read.
-            o.gauge("sdl_restart_storm", self.supervisor.storm)
-            if isinstance(self.recovery, DurableLog):
-                o.gauge("sdl_wal_frames", self.recovery.wal_frames)
-                o.gauge("sdl_wal_bytes", self.recovery.wal_bytes)
-            metrics = o.snapshot()
         durable = self.recovery if isinstance(self.recovery, DurableLog) else None
-        return RunResult(
+        result = RunResult(
+            **asdict(self.trace.counters),
             reason=reason,
             steps=self.step_count,
             rounds=self.scheduler.round_count,
-            commits=counters.commits,
-            consensus_rounds=counters.consensus_rounds,
             live_processes=len(self.society),
             dataspace_size=len(self.dataspace),
             deadlocked=deadlocked or [],
-            wakeups=counters.wakeups,
-            precise_wakeups=counters.precise_wakeups,
-            spurious_wakeups=counters.spurious_wakeups,
-            wake_checks=self.wakeups.stats.wake_checks,
+            wake_checks=self.wakeups.wake_checks,
             window_hits=windows.hits,
             window_misses=windows.misses,
             window_delta_refreshes=windows.delta_refreshes,
             window_full_invalidations=windows.full_invalidations,
             footprint_recomputes=windows.footprint_recomputes,
-            group_rounds=counters.group_rounds,
-            batch_commits=counters.batch_commits,
-            conflicts=counters.conflicts,
-            max_batch=counters.max_batch,
-            crashes=counters.crashes,
-            restarts=counters.restarts,
             recoveries=self.supervisor.recoveries,
-            checkpoints=counters.checkpoints,
             restart_pressure={
                 name: dict(entry)
                 for name, entry in self.supervisor.pressure.items()
@@ -454,8 +462,15 @@ class Engine:
             wal_segments=durable.segments_written if durable is not None else 0,
             plan_hits=planner.hits if planner is not None else 0,
             plan_misses=planner.misses if planner is not None else 0,
-            metrics=metrics,
+            plan_cache_size=planner.cache_size if planner is not None else 0,
         )
+        if self.obs is not None:
+            registry = self.obs.registry
+            for name, kind, labels, attr in EXPORTS:
+                metric = registry.gauge(name) if kind == "gauge" else registry.counter(name)
+                metric.set(getattr(result, attr), **labels)
+            result.metrics = self.obs.snapshot()
+        return result
 
     # ------------------------------------------------------------------
     # crash-stop support (restarts, delayed wakes, checkpoints)
@@ -519,19 +534,11 @@ class Engine:
         if window is None:
             window = process.view.window(self.dataspace, process.params)
             window.planner = self.planner
+            window.stats = self.window_stats
             self._windows[process.pid] = window
         return window
 
     def drop_window(self, pid: int) -> None:
-        """Forget a finished process's window, keeping its counters."""
-        window = self._windows.pop(pid, None)
-        if window is not None:
-            self._window_stats.absorb(window.stats)
-
-    def window_stats(self) -> WindowStats:
-        """Aggregate window counters: dropped windows plus live ones."""
-        total = WindowStats()
-        total.absorb(self._window_stats)
-        for window in self._windows.values():
-            total.absorb(window.stats)
-        return total
+        """Forget a finished process's window (its counts stay in
+        :attr:`window_stats`)."""
+        self._windows.pop(pid, None)

@@ -170,9 +170,13 @@ class CheckpointTaken(Event):
     size: int     # live instances captured
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, kw_only=True)
 class TraceCounters:
-    """Aggregate counters kept for every run."""
+    """Aggregate counters kept for every run.
+
+    :class:`~repro.runtime.engine.RunResult` inherits these fields, so each
+    counter is declared once and a run's result carries all of them.
+    """
 
     commits: int = 0
     failures: int = 0

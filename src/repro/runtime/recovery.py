@@ -537,8 +537,6 @@ class DurableLog(RecoveryLog):
         self.wal_frames += 1
         self.wal_bytes += len(data)
         if obs is not None:
-            obs.count("sdl_wal_frames_total")
-            obs.count("sdl_wal_bytes_total", amount=len(data))
             obs.observe_ns(
                 "wal-append",
                 start,

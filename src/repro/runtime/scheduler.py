@@ -217,6 +217,11 @@ class Scheduler:
     def round_active(self) -> bool:
         return bool(self._round_queue)
 
+    @property
+    def has_ready(self) -> bool:
+        """Whether items wait for the next round."""
+        return bool(self._ready)
+
     # ------------------------------------------------------------------
     # arbitration
     # ------------------------------------------------------------------

@@ -195,13 +195,6 @@ class Supervisor:
         root = self._lineage_of.get(pid, pid)
         return self._restarts.get(root, 0)
 
-    @property
-    def storm(self) -> int:
-        """The heaviest per-definition restart count (``sdl_restart_storm``)."""
-        return max(
-            (entry["restarts"] for entry in self.pressure.values()), default=0
-        )
-
     def __repr__(self) -> str:
         return (
             f"Supervisor(pending={len(self.pending)}, "

@@ -29,7 +29,6 @@ A/B measurement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.core.expressions import BinOp, Call, Const, Expr, UnOp, Var
@@ -42,21 +41,10 @@ __all__ = [
     "AtomWatcher",
     "Subscription",
     "WAKE_ANY",
-    "WakeupStats",
     "WakeupIndex",
     "derive_subscription",
     "txn_arities",
 ]
-
-
-@dataclass(slots=True)
-class WakeupStats:
-    """Aggregate counters over one engine run (exposed via ``RunResult``)."""
-
-    key_watchers: int = 0     # watchers registered under a field key
-    arity_watchers: int = 0   # watchers registered under an arity bucket
-    any_subscriptions: int = 0  # parked items on the wake-on-any fallback
-    wake_checks: int = 0      # candidate verifications performed
 
 
 class AtomWatcher:
@@ -210,10 +198,10 @@ class WakeupIndex:
     so wake delivery stays FIFO — the weak-fairness order of the seed.
     """
 
-    __slots__ = ("stats", "obs", "_items", "_subs", "_any", "_by_arity", "_by_key", "_order", "_seq")
+    __slots__ = ("wake_checks", "obs", "_items", "_subs", "_any", "_by_arity", "_by_key", "_order", "_seq")
 
-    def __init__(self, stats: WakeupStats | None = None, obs=None) -> None:
-        self.stats = stats if stats is not None else WakeupStats()
+    def __init__(self, obs=None) -> None:
+        self.wake_checks = 0  # candidate verifications (``RunResult.wake_checks``)
         #: Observability hook (``repro.obs.Observability`` or ``None``);
         #: ``None`` keeps :meth:`affected` on the original path.
         self.obs = obs
@@ -254,7 +242,6 @@ class WakeupIndex:
         self._subs[tid] = sub
         if sub.wake_any:
             self._any.add(tid)
-            self.stats.any_subscriptions += 1
             return
         for watcher in sub.watchers:
             if watcher.probes:
@@ -265,10 +252,8 @@ class WakeupIndex:
                 position, value = watcher.probes[-1]
                 key = (watcher.arity, position, value)
                 self._by_key.setdefault(key, set()).add(tid)
-                self.stats.key_watchers += 1
             else:
                 self._by_arity.setdefault(watcher.arity, set()).add(tid)
-                self.stats.arity_watchers += 1
 
     def discard(self, tid: int) -> None:
         """Remove *tid* from the index (no-op when absent)."""
@@ -328,7 +313,7 @@ class WakeupIndex:
                         candidates |= bucket
             candidates -= woken
             checked = len(candidates)
-            self.stats.wake_checks += checked
+            self.wake_checks += checked
             for tid in candidates:
                 if self._subs[tid].matches(instances):
                     woken.add(tid)

@@ -20,7 +20,6 @@ from repro.viz.stats import (
     concurrency_profile,
     phase_summary,
     process_activity,
-    run_metrics,
 )
 from repro.viz.render import (
     render_dataspace,
@@ -45,7 +44,6 @@ __all__ = [
     "concurrency_profile",
     "phase_summary",
     "process_activity",
-    "run_metrics",
     "render_dataspace",
     "render_grid",
     "render_histogram",

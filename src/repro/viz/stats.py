@@ -1,18 +1,16 @@
 """Aggregate statistics over engine traces.
 
 These functions turn a :class:`~repro.runtime.events.Trace` (run with
-``detail=True``) and/or a :class:`~repro.runtime.engine.RunResult` into the
-series the benchmark harness reports: concurrency profiles per virtual
-round, per-process activity, consensus phase structure, and scalar run
-metrics.
+``detail=True``) into the series the benchmark harness reports:
+concurrency profiles per virtual round, per-process activity and
+consensus phase structure.  Scalar run counts live on
+:class:`~repro.runtime.engine.RunResult`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
-from repro.runtime.engine import RunResult
 from repro.runtime.events import (
     ConsensusFired,
     ProcessCreated,
@@ -23,127 +21,10 @@ from repro.runtime.events import (
 )
 
 __all__ = [
-    "RunMetrics",
-    "run_metrics",
     "concurrency_profile",
     "process_activity",
     "phase_summary",
 ]
-
-
-@dataclass(slots=True)
-class RunMetrics:
-    """Scalar summary of one run, merged from result and trace counters."""
-
-    reason: str
-    steps: int
-    rounds: int
-    commits: int
-    failures: int
-    asserts: int
-    retracts: int
-    reads: int
-    consensus_rounds: int
-    consensus_participants: int
-    processes_created: int
-    parallelism: float
-    peak_concurrency: int
-    # reactivity counters (delta-driven wakeups and windows)
-    wakeups: int
-    spurious_wake_rate: float
-    window_hit_rate: float
-    window_full_invalidations: int
-    # group-commit counters (zero outside ``commit="group"`` runs)
-    group_rounds: int
-    avg_batch: float
-    max_batch: int
-    conflicts: int
-    conflict_rate: float
-    # crash-stop failure counters (zero without fault injection)
-    crashes: int = 0
-    restarts: int = 0
-    recoveries: int = 0
-    # query-planner counters (zero under ``plan="off"``)
-    plan_hits: int = 0
-    plan_misses: int = 0
-    plan_hit_rate: float = 0.0
-    # observability snapshot (``RunResult.metrics``; empty when obs is off)
-    obs: dict[str, Any] = field(default_factory=dict)
-
-    def obs_sites(self) -> dict[str, int]:
-        """Per-site observation counts from the obs snapshot (empty if off)."""
-        return {
-            name[len("sdl_"):-len("_seconds")]: entry["data"]["count"]
-            for name, entry in self.obs.items()
-            if entry.get("kind") == "histogram" and name.endswith("_seconds")
-        }
-
-    def as_row(self) -> dict[str, Any]:
-        """Flat dict, handy for printing benchmark tables."""
-        return {
-            "reason": self.reason,
-            "steps": self.steps,
-            "rounds": self.rounds,
-            "commits": self.commits,
-            "failures": self.failures,
-            "asserts": self.asserts,
-            "retracts": self.retracts,
-            "consensus": self.consensus_rounds,
-            "procs": self.processes_created,
-            "parallelism": round(self.parallelism, 2),
-            "peak": self.peak_concurrency,
-            "wakeups": self.wakeups,
-            "spurious_rate": round(self.spurious_wake_rate, 3),
-            "window_hit_rate": round(self.window_hit_rate, 3),
-            "full_invalidations": self.window_full_invalidations,
-            "group_rounds": self.group_rounds,
-            "avg_batch": round(self.avg_batch, 2),
-            "max_batch": self.max_batch,
-            "conflicts": self.conflicts,
-            "conflict_rate": round(self.conflict_rate, 3),
-            "crashes": self.crashes,
-            "restarts": self.restarts,
-            "recoveries": self.recoveries,
-            "plan_hit_rate": round(self.plan_hit_rate, 3),
-            "obs_sites": sum(1 for count in self.obs_sites().values() if count),
-        }
-
-
-def run_metrics(result: RunResult, trace: Trace) -> RunMetrics:
-    """Merge a :class:`RunResult` and its trace into one metrics record."""
-    counters = trace.counters
-    profile = concurrency_profile(trace)
-    return RunMetrics(
-        reason=result.reason,
-        steps=result.steps,
-        rounds=result.rounds,
-        commits=counters.commits,
-        failures=counters.failures,
-        asserts=counters.asserts,
-        retracts=counters.retracts,
-        reads=counters.reads,
-        consensus_rounds=counters.consensus_rounds,
-        consensus_participants=counters.consensus_participants,
-        processes_created=counters.processes_created,
-        parallelism=result.parallelism,
-        peak_concurrency=max(profile.values(), default=0),
-        wakeups=result.wakeups,
-        spurious_wake_rate=result.spurious_wake_rate,
-        window_hit_rate=result.window_hit_rate,
-        window_full_invalidations=result.window_full_invalidations,
-        group_rounds=result.group_rounds,
-        avg_batch=result.avg_batch,
-        max_batch=result.max_batch,
-        conflicts=result.conflicts,
-        conflict_rate=result.conflict_rate,
-        crashes=result.crashes,
-        restarts=result.restarts,
-        recoveries=result.recoveries,
-        plan_hits=result.plan_hits,
-        plan_misses=result.plan_misses,
-        plan_hit_rate=result.plan_hit_rate,
-        obs=result.metrics,
-    )
 
 
 def concurrency_profile(trace: Trace) -> dict[int, int]:

@@ -12,6 +12,7 @@ from repro.core.process import ProcessDefinition
 from repro.core.query import exists, no
 from repro.core.transactions import immediate
 from repro.errors import EngineError, StepLimitExceeded, UnknownProcessError
+from repro.programs.summation import phase_tagged_tuples, sum2_definition
 from repro.runtime.engine import Engine
 from repro.runtime.events import Trace
 
@@ -154,6 +155,34 @@ class TestLimitsAndDeterminism:
         # A small explicit limit keeps this test fast; the default stays.
         default = inspect.signature(Engine.run).parameters["max_steps"].default
         assert default == 1_000_000
+
+    @pytest.mark.parametrize("commit", ["live", "serial", "group"])
+    def test_resumed_run_loses_no_work(self, commit):
+        # A run stopped at a limit and then resumed does the work of an
+        # uninterrupted one: the item (or round) the limit interrupted and
+        # group commit's deferred losers are kept for the next run().
+        def sum2():
+            engine = Engine(
+                definitions=[sum2_definition()], seed=3, commit=commit,
+                on_deadlock="return",
+            )
+            engine.assert_tuples(phase_tagged_tuples(list(range(64))))
+            for j in range(1, 7):
+                for k in range(2**j, 65, 2**j):
+                    engine.start("Sum2", (k, j))
+            return engine
+
+        reference = sum2()
+        whole = reference.run()
+        assert whole.completed
+        for limit, reason in (({"max_steps": 1}, "step-limit"),
+                              ({"max_rounds": 1}, "round-limit")):
+            engine = sum2()
+            assert engine.run(**limit).reason == reason
+            resumed = engine.run()
+            assert resumed.completed, limit
+            assert resumed.steps == whole.steps
+            assert engine.dataspace.multiset() == reference.dataspace.multiset()
 
     def test_same_seed_same_run(self):
         a = Var("a")

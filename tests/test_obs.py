@@ -2,14 +2,15 @@
 
 Covers the two zero-dependency primitives (``repro.obs.metrics``,
 ``repro.obs.spans``), the ``Observability`` facade and its resolution
-rules (``SDL_OBS``), and the engine integration contract:
+rules, and the engine integration contract:
 
 * disabled (the default) — no hook attached anywhere, ``RunResult.metrics``
   empty, and the run bit-identical to one with observability enabled
   (the layer never consumes the engine RNG);
 * enabled — every exercised site shows up in the per-site latency
-  histograms, the snapshot rides on ``RunResult.metrics``, and the CLI
-  flags write the metrics/trace files.
+  histograms, the snapshot rides on ``RunResult.metrics``, every exported
+  name equals the ``RunResult`` field it mirrors, and the CLI flags write
+  the metrics/trace files.
 """
 
 from __future__ import annotations
@@ -27,7 +28,14 @@ from repro.obs import (
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.spans import SpanRecorder
-from repro.programs.summation import run_sum2, run_sum3
+from repro.programs.summation import (
+    phase_tagged_tuples,
+    run_sum2,
+    run_sum3,
+    sum2_definition,
+)
+from repro.runtime.engine import EXPORTS, Engine
+from repro.runtime.supervision import RestartPolicy
 
 
 # ---------------------------------------------------------------------------
@@ -243,26 +251,12 @@ class TestResolveObs:
         assert resolve_obs(obs) is obs
         assert isinstance(resolve_obs(True), Observability)
         assert resolve_obs(False) is None
-
-    @pytest.mark.parametrize("value", ["", "0", "off", "false", "no", "none", " OFF "])
-    def test_falsey_strings_disable(self, value):
-        assert resolve_obs(value) is None
-
-    @pytest.mark.parametrize("value", ["1", "on", "true", "yes"])
-    def test_truthy_strings_enable(self, value):
-        assert isinstance(resolve_obs(value), Observability)
-
-    def test_none_consults_env(self, monkeypatch):
-        monkeypatch.delenv("SDL_OBS", raising=False)
-        assert resolve_obs(None) is None
-        monkeypatch.setenv("SDL_OBS", "1")
-        assert isinstance(resolve_obs(None), Observability)
-        monkeypatch.setenv("SDL_OBS", "0")
         assert resolve_obs(None) is None
 
     def test_bad_type_raises(self):
-        with pytest.raises(TypeError):
-            resolve_obs(3.14)
+        for value in (3.14, "on"):
+            with pytest.raises(TypeError):
+                resolve_obs(value)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +265,7 @@ class TestResolveObs:
 
 
 class TestEngineIntegration:
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("SDL_OBS", raising=False)
+    def test_disabled_by_default(self):
         run = run_sum3([1, 2, 3, 4], seed=1)
         assert run.engine.obs is None
         assert run.engine.dataspace._obs is None
@@ -322,12 +315,6 @@ class TestEngineIntegration:
         run = run_sum1(list(range(8)), seed=0, obs=True)
         assert run.result.metrics["sdl_consensus_seconds"]["data"]["count"] > 0
 
-    def test_env_sweep_enables(self, monkeypatch):
-        monkeypatch.setenv("SDL_OBS", "on")
-        run = run_sum3([1, 2, 3, 4], seed=1)
-        assert run.engine.obs is not None
-        assert run.result.metrics
-
     def test_summary_gauges(self):
         run = run_sum3([1, 2, 3, 4], seed=1, obs=True)
         m = run.result.metrics
@@ -336,16 +323,67 @@ class TestEngineIntegration:
         assert m["sdl_commits_total"]["data"] == run.result.commits
 
     def test_run_metrics_surfaces_obs(self):
-        from repro.viz.stats import run_metrics
-
+        # Per-site observation counts are read off ``RunResult.metrics``.
         run = run_sum2(list(range(16)), seed=3, obs=True)
-        metrics = run_metrics(run.result, run.trace)
-        sites = metrics.obs_sites()
-        assert sites["match"] > 0
-        assert metrics.as_row()["obs_sites"] >= 2
+        sites = {
+            name: entry["data"]["count"]
+            for name, entry in run.result.metrics.items()
+            if entry["kind"] == "histogram"
+        }
+        assert sites["sdl_match_seconds"] > 0
+        assert sum(1 for count in sites.values() if count) >= 2
 
         bare = run_sum2(list(range(16)), seed=3)
-        assert run_metrics(bare.result, bare.trace).as_row()["obs_sites"] == 0
+        assert bare.result.metrics == {}
+
+
+class TestRunExport:
+    """The registry is a view of ``RunResult``: after every ``run()`` each
+    exported name holds its kind and equals the field it mirrors."""
+
+    @staticmethod
+    def _assert_exported(result):
+        for name, kind, labels, attr in EXPORTS:
+            entry = result.metrics[name]
+            assert entry["kind"] == kind, name
+            data = entry["data"]
+            if labels:
+                data = data[",".join(f"{k}={v}" for k, v in labels.items())]
+            assert data == getattr(result, attr), (name, labels)
+
+    def test_exports_equal_the_record_across_a_resume(self, tmp_path):
+        engine = Engine(
+            definitions=[sum2_definition()],
+            seed=3,
+            obs=True,
+            plan="on",
+            commit="group",
+            validate="serial",
+            wal_dir=str(tmp_path),
+            checkpoint_interval=16,
+            faults="seed=1; batch-admit:crash:name=Sum2:at=2:max=1",
+            supervision=RestartPolicy(policy="restart"),
+            on_deadlock="return",
+        )
+        values = list(range(32))
+        engine.assert_tuples(phase_tagged_tuples(values))
+        for j in range(1, 6):
+            for k in range(2**j, 33, 2**j):
+                engine.start("Sum2", (k, j))
+
+        first = engine.run(max_steps=20)
+        assert first.reason == "step-limit"
+        self._assert_exported(first)
+        assert first.plan_hits and first.wal_frames
+
+        second = engine.run()
+        assert second.reason == "completed"
+        assert second.steps > first.steps
+        self._assert_exported(second)
+        assert second.crashes == second.restart_storm == 1
+        assert engine.dataspace.multiset() == {(32, sum(values), 6): 1}
+        # Counts only the registry keeps survive alongside the export.
+        assert second.metrics["sdl_faults_fired_total"]["data"]
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +400,7 @@ end
 
 
 class TestCli:
-    def test_metrics_and_trace_out(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("SDL_OBS", raising=False)
+    def test_metrics_and_trace_out(self, tmp_path):
         from repro.__main__ import main
 
         metrics_path = tmp_path / "metrics.json"

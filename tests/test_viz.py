@@ -1,5 +1,7 @@
 """Unit tests for the visualization layer (repro.viz)."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.patterns import ANY, P
@@ -14,8 +16,8 @@ from repro.viz import (
     render_histogram,
     render_profile,
     render_timeline,
-    run_metrics,
 )
+from repro.runtime.events import TraceCounters
 from repro.workloads import random_array
 
 
@@ -31,13 +33,17 @@ def sum1_run():
 
 class TestStats:
     def test_run_metrics_merges_sources(self, sum3_run):
-        metrics = run_metrics(sum3_run.result, sum3_run.trace)
-        assert metrics.commits == 31
-        assert metrics.reason == "completed"
-        assert metrics.parallelism > 1
-        assert metrics.peak_concurrency >= metrics.parallelism / 2
-        row = metrics.as_row()
-        assert row["commits"] == 31
+        # RunResult is the one record: every trace counter rides on it.
+        result = sum3_run.result
+        counters = sum3_run.trace.counters
+        for counter in fields(TraceCounters):
+            assert getattr(result, counter.name) == getattr(counters, counter.name)
+        assert result.commits == 31
+        assert result.processes_created == 1
+        assert result.reason == "completed"
+        assert result.parallelism > 1
+        peak = max(concurrency_profile(sum3_run.trace).values())
+        assert peak >= result.parallelism / 2
 
     def test_concurrency_profile_sums_to_commits(self, sum3_run):
         profile = concurrency_profile(sum3_run.trace)
